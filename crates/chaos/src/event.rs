@@ -10,7 +10,7 @@
 //! that a shrunken schedule never attached (or that is quarantined)
 //! degrades to a no-op instead of an error. That property is what
 //! makes delta-debugging sound — *any* subsequence of a valid
-//! schedule is itself a valid schedule (see [`crate::shrink`]).
+//! schedule is itself a valid schedule (see [`crate::shrink`](mod@crate::shrink)).
 
 /// The kind of transport fault a [`ChaosEvent::Fault`] injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,10 +15,10 @@
 //! see [`invariant`]).
 //!
 //! When an invariant breaks, the failing [`event::Schedule`] is
-//! minimized by delta-debugging ([`shrink`]) into a handful of
-//! events and serialized ([`json`]) as a replayable artifact: the
-//! `chaos` binary's `replay` subcommand re-executes it bit-exactly
-//! anywhere.
+//! minimized by delta-debugging ([`shrink`](mod@shrink)) into a
+//! handful of events and serialized ([`json`]) as a replayable
+//! artifact: the `chaos` binary's `replay` subcommand re-executes it
+//! bit-exactly anywhere.
 //!
 //! Everything runs in virtual time with seeded PRNGs only — no wall
 //! clock, no ambient randomness — so a schedule is a complete,

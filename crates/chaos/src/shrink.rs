@@ -2,7 +2,7 @@
 //!
 //! A failing schedule from the generator is typically dozens of
 //! events long; the bug usually needs three or four of them.
-//! [`shrink`] runs classic ddmin over the event list — remove a
+//! [`shrink`](fn@shrink) runs classic ddmin over the event list — remove a
 //! chunk, re-run, keep the removal if the *same invariant* still
 //! fails — followed by a single-event elimination pass. Soundness
 //! rests on the removal-tolerance contract of

@@ -218,41 +218,52 @@ pub fn apply_into(data: &[u8], bpp: usize, stride: usize, out: &mut Vec<u8>) {
     out.reserve(data.len() + data.len() / stride + 1);
     let mut prev: &[u8] = &[];
     for row in data.chunks(stride) {
-        let p = if prev.len() == row.len() { prev } else { &[] };
-        let b = bpp.min(row.len());
-        // Candidate scores in tag order; Up without a previous row
-        // scores like None and Paeth like Sub (see the score fns), so
-        // the strict-< first-minimum scan below reproduces the naive
-        // [None, Sub, Up, Average, Paeth] tie-break exactly.
-        let s_none = score_none(row);
-        let s_sub = score_sub(row, b);
-        let scores = [
-            s_none,
-            s_sub,
-            if p.is_empty() { s_none } else { score_up(row, p) },
-            score_avg(row, p, b),
-            if p.is_empty() { s_sub } else { score_paeth(row, p, b) },
-        ];
-        let mut best = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            if s < scores[best] {
-                best = i;
-            }
-        }
-        out.push(best as u8);
-        let start = out.len();
-        out.resize(start + row.len(), 0);
-        let dst = &mut out[start..];
-        match FilterType::from_tag(best as u8).expect("tag in range") {
-            FilterType::None => dst.copy_from_slice(row),
-            FilterType::Sub => write_sub(row, b, dst),
-            FilterType::Up if p.is_empty() => dst.copy_from_slice(row),
-            FilterType::Up => write_up(row, p, dst),
-            FilterType::Average => write_avg(row, p, b, dst),
-            FilterType::Paeth if p.is_empty() => write_sub(row, b, dst),
-            FilterType::Paeth => write_paeth(row, p, b, dst),
-        }
+        filter_row_into(row, prev, bpp, out);
         prev = row;
+    }
+}
+
+/// Filters one row, appending its filter tag byte and the filtered
+/// bytes to `out`: the per-row step of [`apply_into`], for callers
+/// that filter an image a few rows at a time.
+///
+/// `prev` is the image's previous row (empty for the first row); a
+/// previous row of another length — only possible before a trailing
+/// partial row — counts as absent. Callers check that `bpp > 0`.
+pub(crate) fn filter_row_into(row: &[u8], prev: &[u8], bpp: usize, out: &mut Vec<u8>) {
+    let p = if prev.len() == row.len() { prev } else { &[] };
+    let b = bpp.min(row.len());
+    // Candidate scores in tag order; Up without a previous row scores
+    // like None and Paeth like Sub (see the score fns), so the
+    // strict-< first-minimum scan below reproduces the naive
+    // [None, Sub, Up, Average, Paeth] tie-break exactly.
+    let s_none = score_none(row);
+    let s_sub = score_sub(row, b);
+    let scores = [
+        s_none,
+        s_sub,
+        if p.is_empty() { s_none } else { score_up(row, p) },
+        score_avg(row, p, b),
+        if p.is_empty() { s_sub } else { score_paeth(row, p, b) },
+    ];
+    let mut best = 0usize;
+    for (i, &s) in scores.iter().enumerate() {
+        if s < scores[best] {
+            best = i;
+        }
+    }
+    out.push(best as u8);
+    let start = out.len();
+    out.resize(start + row.len(), 0);
+    let dst = &mut out[start..];
+    match FilterType::from_tag(best as u8).expect("tag in range") {
+        FilterType::None => dst.copy_from_slice(row),
+        FilterType::Sub => write_sub(row, b, dst),
+        FilterType::Up if p.is_empty() => dst.copy_from_slice(row),
+        FilterType::Up => write_up(row, p, dst),
+        FilterType::Average => write_avg(row, p, b, dst),
+        FilterType::Paeth if p.is_empty() => write_sub(row, b, dst),
+        FilterType::Paeth => write_paeth(row, p, b, dst),
     }
 }
 

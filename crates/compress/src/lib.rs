@@ -65,6 +65,7 @@ pub(crate) fn eq_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 pub struct Scratch {
     filtered: Vec<u8>,
     out: Vec<u8>,
+    consumed: usize,
 }
 
 impl Scratch {
@@ -73,14 +74,15 @@ impl Scratch {
         Self::default()
     }
 
-    /// The filter intermediate and output buffers, for staged pipelines.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<u8>, &mut Vec<u8>) {
-        (&mut self.filtered, &mut self.out)
-    }
-
     /// Read access to the last encoded stream.
     pub fn encoded(&self) -> &[u8] {
         &self.out
+    }
+
+    /// Input bytes the last [`pnglike::compress_bounded`] (or
+    /// [`pnglike::compress_with`]) read before it finished or gave up.
+    pub fn consumed(&self) -> usize {
+        self.consumed
     }
 }
 

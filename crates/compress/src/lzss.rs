@@ -26,6 +26,14 @@ fn hash(data: &[u8], i: usize) -> usize {
     (h as usize) & ((1 << HASH_BITS) - 1)
 }
 
+/// How far past a position the encoder must see before deciding it.
+///
+/// A match at `i` reads at most `MAX_MATCH` bytes, and the hash
+/// inserts for the positions it covers read `MIN_MATCH` more. With
+/// this margin every comparison and insert sees the same bytes as a
+/// whole-buffer run, so decisions made on a prefix are final.
+pub const LOOKAHEAD: usize = MAX_MATCH + MIN_MATCH;
+
 /// Compresses `data` with LZSS.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
@@ -34,92 +42,153 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Compresses `data` with LZSS into a caller-owned buffer (cleared
-/// first) so repeated encodes reuse the allocation.
+/// first) so repeated encodes reuse the allocation: an [`Encoder`]
+/// run to completion.
 ///
-/// Match candidates come from the hash-chain finder; candidate match
-/// lengths are extended a machine word at a time ([`crate::eq_len`]),
-/// which is where the encoder spends most of its cycles. Output bytes
-/// are identical to [`crate::reference::lzss_compress`].
+/// Output bytes are identical to [`crate::reference::lzss_compress`].
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     out.clear();
-    // head[h] = most recent position with hash h; prev[i % WINDOW] = chain.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; WINDOW];
-    let mut i = 0;
-    let mut flags_pos = usize::MAX;
-    let mut flag_bit = 8;
+    Encoder::new().finish(data, out);
+}
 
-    let mut push_item = |out: &mut Vec<u8>, is_match: bool, payload: &[u8]| {
-        if flag_bit == 8 {
-            flags_pos = out.len();
-            out.push(0);
-            flag_bit = 0;
-        }
-        if is_match {
-            out[flags_pos] |= 1 << flag_bit;
-        }
-        flag_bit += 1;
-        out.extend_from_slice(payload);
-    };
+/// A resumable LZSS encoder over a growing input.
+///
+/// The caller appends to one input buffer and calls
+/// [`advance`](Encoder::advance) with the prefix so far; the encoder
+/// codes every position it can decide without seeing more input (see
+/// [`LOOKAHEAD`]) and remembers where it stopped.
+/// [`finish`](Encoder::finish) codes the rest. However the input is
+/// fed, the output is byte-identical to [`compress`] of the whole
+/// input, and it only ever grows — so a caller that only wants a
+/// result below some size can stop as soon as the output passes it.
+///
+/// Match candidates come from the hash-chain finder; candidate match
+/// lengths are extended a machine word at a time (`eq_len`), which is
+/// where the encoder spends most of its cycles.
+#[derive(Debug)]
+pub struct Encoder {
+    /// `head[h]`: most recent position with hash `h`.
+    head: Vec<usize>,
+    /// `prev[i % WINDOW]`: the previous position in `i`'s hash chain.
+    prev: Vec<usize>,
+    /// Next input position to code.
+    pos: usize,
+    /// Output offset of the current flag byte.
+    flags_pos: usize,
+    /// Next bit of the current flag byte (8 = start a new group).
+    flag_bit: u32,
+}
 
-    while i < data.len() {
-        let mut best_len = 0;
-        let mut best_dist = 0;
+impl Default for Encoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Encoder {
+    /// An encoder at the start of an input.
+    pub fn new() -> Self {
+        Self {
+            head: vec![usize::MAX; 1 << HASH_BITS],
+            prev: vec![usize::MAX; WINDOW],
+            pos: 0,
+            flags_pos: usize::MAX,
+            flag_bit: 8,
+        }
+    }
+
+    /// Codes every position of `data` that is at least [`LOOKAHEAD`]
+    /// bytes from its end, appending to `out`. `data` must extend the
+    /// input of earlier calls, and `out` must hold exactly their
+    /// output.
+    pub fn advance(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        self.run(data, (data.len() + 1).saturating_sub(LOOKAHEAD), out);
+    }
+
+    /// Codes the rest of `data`, which is the whole input. Same
+    /// contract as [`advance`](Self::advance).
+    pub fn finish(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        self.run(data, data.len(), out);
+    }
+
+    fn insert(&mut self, data: &[u8], i: usize) {
         if i + MIN_MATCH <= data.len() {
             let h = hash(data, i);
-            let mut cand = head[h];
-            let mut chain = 0;
-            while cand != usize::MAX && cand + WINDOW > i && chain < 32 {
-                if cand < i {
-                    let max = MAX_MATCH.min(data.len() - i);
-                    let l = crate::eq_len(data, cand, i, max);
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - cand;
-                        if l == MAX_MATCH {
+            self.prev[i % WINDOW] = self.head[h];
+            self.head[h] = i;
+        }
+    }
+
+    fn push_item(&mut self, out: &mut Vec<u8>, is_match: bool, payload: &[u8]) {
+        if self.flag_bit == 8 {
+            self.flags_pos = out.len();
+            out.push(0);
+            self.flag_bit = 0;
+        }
+        if is_match {
+            out[self.flags_pos] |= 1 << self.flag_bit;
+        }
+        self.flag_bit += 1;
+        out.extend_from_slice(payload);
+    }
+
+    /// Codes positions from `self.pos` while they are below `stop`.
+    fn run(&mut self, data: &[u8], stop: usize, out: &mut Vec<u8>) {
+        while self.pos < stop {
+            let i = self.pos;
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            if i + MIN_MATCH <= data.len() {
+                let mut cand = self.head[hash(data, i)];
+                let mut chain = 0;
+                while cand != usize::MAX && cand + WINDOW > i && chain < 32 {
+                    if cand < i {
+                        let max = MAX_MATCH.min(data.len() - i);
+                        let l = crate::eq_len(data, cand, i, max);
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = i - cand;
+                            if l == MAX_MATCH {
+                                break;
+                            }
+                        }
+                    }
+                    cand = self.prev[cand % WINDOW];
+                    chain += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                // Two token bytes plus at most four extension bytes
+                // (three 255s and a terminator).
+                let mut payload = [0u8; 8];
+                let mut extra = best_len - MIN_MATCH;
+                let code = extra.min(LEN_EXT);
+                let token = (((best_dist - 1) as u16) << 4) | (code as u16);
+                payload[..2].copy_from_slice(&token.to_le_bytes());
+                let mut n = 2;
+                if code == LEN_EXT {
+                    extra -= LEN_EXT;
+                    loop {
+                        let b = extra.min(255);
+                        payload[n] = b as u8;
+                        n += 1;
+                        extra -= b;
+                        if b < 255 {
                             break;
                         }
                     }
                 }
-                cand = prev[cand % WINDOW];
-                chain += 1;
-            }
-        }
-        if best_len >= MIN_MATCH {
-            let mut extra = best_len - MIN_MATCH;
-            let code = extra.min(LEN_EXT);
-            let token = (((best_dist - 1) as u16) << 4) | (code as u16);
-            let mut payload = token.to_le_bytes().to_vec();
-            if code == LEN_EXT {
-                extra -= LEN_EXT;
-                loop {
-                    let b = extra.min(255);
-                    payload.push(b as u8);
-                    extra -= b;
-                    if b < 255 {
-                        break;
-                    }
+                self.push_item(out, true, &payload[..n]);
+                // Insert hash entries for every covered position.
+                for p in i..i + best_len {
+                    self.insert(data, p);
                 }
+                self.pos = i + best_len;
+            } else {
+                self.push_item(out, false, &data[i..i + 1]);
+                self.insert(data, i);
+                self.pos = i + 1;
             }
-            push_item(out, true, &payload);
-            // Insert hash entries for every covered position.
-            let end = i + best_len;
-            while i < end {
-                if i + MIN_MATCH <= data.len() {
-                    let h = hash(data, i);
-                    prev[i % WINDOW] = head[h];
-                    head[h] = i;
-                }
-                i += 1;
-            }
-        } else {
-            push_item(out, false, &data[i..i + 1]);
-            if i + MIN_MATCH <= data.len() {
-                let h = hash(data, i);
-                prev[i % WINDOW] = head[h];
-                head[h] = i;
-            }
-            i += 1;
         }
     }
 }

@@ -21,11 +21,16 @@ pub fn compress(data: &[u8], bpp: usize, stride: usize) -> Vec<u8> {
     lzss::compress(&filtered)
 }
 
+/// Filtered bytes between encoder advances in [`compress_bounded`]:
+/// small enough that a hopeless encode stops soon after its output
+/// passes the limit, large enough to amortize each advance.
+const ADVANCE_EVERY: usize = 16 * 1024;
+
 /// [`compress`] through caller-owned scratch buffers: the filtered
-/// intermediate goes into `scratch.filtered`, the encoded stream into
-/// `scratch.out` (returned as a slice). Encoding many commands with
-/// one [`crate::Scratch`] does no per-command allocation once the
-/// buffers have grown to the working-set size.
+/// intermediate goes into the scratch, and so does the encoded stream
+/// (returned as a slice). Encoding many commands with one
+/// [`crate::Scratch`] reuses both buffers once they have grown to the
+/// working-set size; only the LZSS hash tables are allocated per call.
 ///
 /// # Panics
 ///
@@ -36,10 +41,57 @@ pub fn compress_with<'a>(
     stride: usize,
     scratch: &'a mut crate::Scratch,
 ) -> &'a [u8] {
-    let (filtered, out) = scratch.parts_mut();
-    filter::apply_into(data, bpp, stride, filtered);
-    lzss::compress_into(filtered, out);
-    out
+    compress_bounded(data, bpp, stride, usize::MAX, scratch).expect("no output limit")
+}
+
+/// [`compress_with`] that gives up once the output is known to exceed
+/// `limit` bytes: returns `Some(bytes)` exactly when
+/// `compress(data, bpp, stride).len() <= limit`, and then the bytes
+/// are identical.
+///
+/// Rows are filtered lazily and the LZSS [`Encoder`](lzss::Encoder)
+/// is advanced every 16 KiB of filtered bytes. Encoder output only
+/// grows, so the first advance that passes `limit` decides the result
+/// and the rest of the input is never read
+/// ([`crate::Scratch::consumed`] reports how much was).
+///
+/// # Panics
+///
+/// Panics if `bpp` or `stride` is zero.
+pub fn compress_bounded<'a>(
+    data: &[u8],
+    bpp: usize,
+    stride: usize,
+    limit: usize,
+    scratch: &'a mut crate::Scratch,
+) -> Option<&'a [u8]> {
+    assert!(bpp > 0 && stride > 0, "bad geometry");
+    let crate::Scratch {
+        filtered,
+        out,
+        consumed,
+    } = scratch;
+    filtered.clear();
+    filtered.reserve(data.len() + data.len() / stride + 1);
+    out.clear();
+    *consumed = 0;
+    let mut lzss = lzss::Encoder::new();
+    let mut prev: &[u8] = &[];
+    let mut next_advance = ADVANCE_EVERY;
+    for row in data.chunks(stride) {
+        filter::filter_row_into(row, prev, bpp, filtered);
+        *consumed += row.len();
+        prev = row;
+        if filtered.len() >= next_advance {
+            lzss.advance(filtered, out);
+            if out.len() > limit {
+                return None;
+            }
+            next_advance = filtered.len() + ADVANCE_EVERY;
+        }
+    }
+    lzss.finish(filtered, out);
+    (out.len() <= limit).then_some(&out[..])
 }
 
 /// Reverses [`compress`]; returns `None` on malformed input.

@@ -166,11 +166,11 @@ impl ClientBuffer {
     /// the cap, buffered commands are evicted — largest size queue
     /// first, oldest within a queue — and their screen footprint
     /// accumulates as *overflow debt* for the owner to repay with a
-    /// fresh-screen refresh ([`take_overflow_debt`]
-    /// (Self::take_overflow_debt)). Memory stays bounded no matter how
-    /// far the network falls behind; the screen degrades gracefully
-    /// (a region refreshes late, with final content) instead of the
-    /// session dying or the server bloating.
+    /// fresh-screen refresh
+    /// ([`take_overflow_debt`](Self::take_overflow_debt)). Memory
+    /// stays bounded no matter how far the network falls behind; the
+    /// screen degrades gracefully (a region refreshes late, with final
+    /// content) instead of the session dying or the server bloating.
     pub fn with_byte_bound(mut self, bytes: u64) -> Self {
         self.byte_bound = Some(bytes);
         self
@@ -605,24 +605,48 @@ impl ClientBuffer {
     /// Encodes a command into its final wire message, applying RAW
     /// compression lazily at emission ("commands are not broken up
     /// [or encoded] in advance ... to adapt to changing conditions").
-    fn emit_message(&mut self, cmd: DisplayCommand) -> Message {
+    /// An uncompressed RAW of at least 1 KiB goes out PNG-like
+    /// compressed when that makes its payload smaller, and as is
+    /// otherwise — so compression stops as soon as its output reaches
+    /// the payload's own size.
+    ///
+    /// `room` bounds the work further: when the uncompressed payload
+    /// is larger than `room` bytes, compression also stops once its
+    /// output passes `room`, and the result is `None` — the message,
+    /// compressed or not, would be larger than `room`. Other commands
+    /// always yield `Some`.
+    fn emit_message(&mut self, cmd: &DisplayCommand, room: u64) -> Option<Message> {
         if let (Some(bpp), DisplayCommand::Raw { rect, encoding: RawEncoding::None, data }) =
-            (self.raw_compress_bpp, &cmd)
+            (self.raw_compress_bpp, cmd)
         {
             if data.len() >= 1024 {
                 let stride = rect.w as usize * bpp;
-                let packed =
-                    thinc_compress::pnglike::compress_with(data, bpp, stride, &mut self.scratch);
-                if packed.len() < data.len() {
-                    return Message::Display(DisplayCommand::Raw {
-                        rect: *rect,
-                        encoding: RawEncoding::PngLike,
-                        data: packed.to_vec().into(),
-                    });
+                let capped = data.len() as u64 > room;
+                let limit = if capped { room as usize } else { data.len() - 1 };
+                let packed = thinc_compress::pnglike::compress_bounded(
+                    data,
+                    bpp,
+                    stride,
+                    limit,
+                    &mut self.scratch,
+                )
+                .map(<[u8]>::to_vec);
+                self.scheduler_metrics
+                    .record_compress_input(self.scratch.consumed() as u64);
+                match packed {
+                    Some(packed) => {
+                        return Some(Message::Display(DisplayCommand::Raw {
+                            rect: *rect,
+                            encoding: RawEncoding::PngLike,
+                            data: packed.into(),
+                        }))
+                    }
+                    None if capped => return None,
+                    None => {}
                 }
             }
         }
-        Message::Display(cmd)
+        Some(Message::Display(cmd.clone()))
     }
 
     /// Computes the final wire message, its size, and the cache action
@@ -633,18 +657,25 @@ impl ClientBuffer {
     /// LRU order move only in [`Self::cache_commit`] once the frame is
     /// actually committed to the pipe, so a blocked flush attempt has
     /// no side effects.
+    ///
+    /// `room` is the pipe's writable space. `None` means the command
+    /// would block: its full form is larger than `room`, and the
+    /// ledger cannot turn it into a reference. Forms taken from (or
+    /// put into) a [`WirePlane`] are always computed whole, because
+    /// other clients with more room reuse them.
     fn prepare_wire(
         &mut self,
-        cmd: DisplayCommand,
+        cmd: &DisplayCommand,
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
-    ) -> (Message, u64, CacheCommit, Option<u64>) {
-        let (full, full_size, key, shared) = match plane.and_then(|p| p.slot(&cmd)) {
+        room: u64,
+    ) -> Option<(Message, u64, CacheCommit, Option<u64>)> {
+        let (full, full_size, key, shared) = match plane.and_then(|p| p.slot(cmd)) {
             Some(slot) => {
                 let mut fresh = false;
                 let form = slot.form_or_init(|| {
                     fresh = true;
-                    self.compute_form(cmd)
+                    self.compute_form(cmd, u64::MAX).expect("unbounded form")
                 });
                 let (msg, size, key) = (form.msg.clone(), form.size, form.key);
                 if fresh {
@@ -654,21 +685,27 @@ impl ClientBuffer {
                 (msg, size, key, Some(size))
             }
             None => {
-                let form = self.compute_form(cmd);
+                let form = match self.compute_form(cmd, room) {
+                    Some(form) => form,
+                    None if self.ledger_may_hold(cmd) => {
+                        self.compute_form(cmd, u64::MAX).expect("unbounded form")
+                    }
+                    None => return None,
+                };
                 (form.msg, form.size, form.key, None)
             }
         };
         let Some(cache) = &self.cache else {
-            return (full, full_size, CacheCommit::None, shared);
+            return Some((full, full_size, CacheCommit::None, shared));
         };
         let Some(key) = key else {
-            return (full, full_size, CacheCommit::None, shared);
+            return Some((full, full_size, CacheCommit::None, shared));
         };
         if cache.ledger.contains(key) {
             let reference = Message::CacheRef { hash: key };
             encode_message_into(&reference, &mut self.encode_buf);
             let ref_size = self.encode_buf.len() as u64;
-            (
+            Some((
                 reference,
                 ref_size,
                 CacheCommit::Hit {
@@ -676,22 +713,37 @@ impl ClientBuffer {
                     saved: full_size - ref_size,
                 },
                 shared,
-            )
+            ))
         } else {
-            (full, full_size, CacheCommit::Insert { key }, shared)
+            Some((full, full_size, CacheCommit::Insert { key }, shared))
         }
+    }
+
+    /// Whether the cache ledger may hold the full wire form of RAW
+    /// `cmd`, which would then go out as a small reference however
+    /// large it is. Ledger keys hash the whole encoded frame, and the
+    /// frame carries the destination rectangle, so only a held RAW at
+    /// the same rectangle can match.
+    fn ledger_may_hold(&self, cmd: &DisplayCommand) -> bool {
+        let (Some(cache), DisplayCommand::Raw { rect, .. }) = (&self.cache, cmd) else {
+            return false;
+        };
+        cache.ledger.iter_lru().any(|(_, _, held)| {
+            matches!(held, Message::Display(DisplayCommand::Raw { rect: r, .. }) if r == rect)
+        })
     }
 
     /// The full wire form of a command: emitted message, encoded frame
     /// size, cache key. A pure function of the command (the scratch
     /// buffers only provide storage), which is what lets a
-    /// [`WirePlane`] share the result across clients.
-    fn compute_form(&mut self, cmd: DisplayCommand) -> WireForm {
-        let full = self.emit_message(cmd);
+    /// [`WirePlane`] share the result across clients. `None` when the
+    /// form would be larger than `room` (see [`Self::emit_message`]).
+    fn compute_form(&mut self, cmd: &DisplayCommand, room: u64) -> Option<WireForm> {
+        let full = self.emit_message(cmd, room)?;
         encode_message_into(&full, &mut self.encode_buf);
         let size = self.encode_buf.len() as u64;
         let key = thinc_protocol::cache::cache_key(&full, &self.encode_buf);
-        WireForm { msg: full, size, key }
+        Some(WireForm { msg: full, size, key })
     }
 
     /// Applies the ledger update owed for a message just sent: bump
@@ -741,9 +793,14 @@ impl ClientBuffer {
     /// the real-time queue first, then size queues in increasing
     /// order. Returns `(arrival_time, message)` pairs for the client.
     ///
-    /// Large uncompressed `RAW` commands are split to fill exactly the
-    /// available socket space; the unsent remainder is reformatted and
-    /// left at the head of its queue.
+    /// A part that does not fit the writable socket space, if it is
+    /// an uncompressed `RAW`, is split at a row boundary so that the
+    /// head's raw payload fills the space (the head is then compressed
+    /// when that makes it smaller); the unsent remainder is
+    /// reformatted and left at the head of its queue. Compressing a
+    /// part stops as soon as its result is known not to fit, so a
+    /// large RAW draining through a small socket is not recompressed
+    /// whole on every flush.
     pub fn flush(
         &mut self,
         now: SimTime,
@@ -812,15 +869,19 @@ impl ClientBuffer {
                 let mut sent_all = true;
                 let mut leftover: Vec<DisplayCommand> = Vec::new();
                 for (i, part) in parts.iter().enumerate() {
-                    let (msg, size, commit, shared) =
-                        self.prepare_wire(part.clone(), plane, counters);
-                    if pipe.would_block(now, size) {
+                    let writable = pipe.writable_bytes(now);
+                    let prepared = self
+                        .prepare_wire(part, plane, counters, writable)
+                        .filter(|&(_, size, _, _)| size <= writable);
+                    let Some((msg, size, commit, shared)) = prepared else {
                         // Try splitting an uncompressed RAW to fit.
-                        let writable = pipe.writable_bytes(now);
                         if let Some((head, tail)) = split_raw(part, writable) {
-                            let (head_msg, head_size, head_commit, head_shared) =
-                                self.prepare_wire(head, plane, counters);
-                            if !pipe.would_block(now, head_size) {
+                            let head_prepared = self
+                                .prepare_wire(&head, plane, counters, writable)
+                                .filter(|&(_, size, _, _)| size <= writable);
+                            if let Some((head_msg, head_size, head_commit, head_shared)) =
+                                head_prepared
+                            {
                                 let (_, arrival) = pipe.send(now, head_size);
                                 trace.record(now, arrival, head_size, Direction::Down, "update");
                                 self.stats.sent_messages += 1;
@@ -847,7 +908,7 @@ impl ClientBuffer {
                         leftover.extend(parts[i..].iter().cloned());
                         sent_all = false;
                         break;
-                    }
+                    };
                     let (_, arrival) = pipe.send(now, size);
                     trace.record(now, arrival, size, Direction::Down, "update");
                     self.stats.sent_messages += 1;
@@ -1385,6 +1446,54 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn blocked_raw_is_not_compressed_whole_on_every_flush() {
+        // A 1024x768 noise RAW through a 64 KiB socket needs ~37
+        // flushes. Each may read about one socketful for the part that
+        // does not fit and one for the head that does — not the whole
+        // remaining tail, which reads the RAW about 20 times over.
+        let (w, h) = (1024u32, 768u32);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..w * h * 3)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as u8
+            })
+            .collect();
+        let mut buf = ClientBuffer::new().with_raw_compression(3);
+        buf.push(
+            DisplayCommand::Raw {
+                rect: Rect::new(0, 0, w, h),
+                encoding: RawEncoding::None,
+                data: data.into(),
+            },
+            false,
+        );
+        let mut p = TcpPipe::new(TcpParams {
+            sndbuf_bytes: 64 * 1024,
+            ..TcpParams::default()
+        });
+        let mut trace = PacketTrace::new();
+        let mut now = SimTime::ZERO;
+        let mut rows = 0;
+        for _ in 0..10_000 {
+            for (_, m) in buf.flush(now, &mut p, &mut trace) {
+                if let Message::Display(DisplayCommand::Raw { rect, encoding, .. }) = m {
+                    assert_eq!(encoding, RawEncoding::None, "noise does not compress");
+                    rows += rect.h;
+                }
+            }
+            if buf.is_empty() {
+                break;
+            }
+            now = p.tx_free_at();
+        }
+        assert_eq!(rows, h, "all rows delivered exactly once");
+        let fed = buf.scheduler_metrics().compress_input_bytes();
+        let size = u64::from(w * h * 3);
+        assert!(fed < 3 * size, "compressor read {fed} bytes of a {size}-byte RAW");
     }
 
     #[test]

@@ -531,9 +531,9 @@ impl ThincServer {
     /// refreshes. Evicted commands lose intermediate states, but the
     /// screen is authoritative: re-reading the debt region now yields
     /// the final content, so the client converges exactly. The ledger
-    /// is session-space (see [`absorb_buffer_debt`]
-    /// (Self::absorb_buffer_debt)): each piece is read from the
-    /// session-sized screen and then scaled *once* for the viewport —
+    /// is session-space (see `absorb_buffer_debt`): each piece is read
+    /// from the session-sized screen and then scaled *once* for the
+    /// viewport —
     /// reading viewport-space rects straight off the screen and
     /// scaling them again (the old behaviour) repainted the wrong
     /// region with doubly-shrunk content whenever scaling was active.

@@ -771,8 +771,8 @@ impl SharedSession {
     ///
     /// # Panics
     ///
-    /// Panics if `links.len()` differs from [`client_count`]
-    /// (Self::client_count).
+    /// Panics if `links.len()` differs from
+    /// [`client_count`](Self::client_count).
     pub fn flush_all(
         &mut self,
         now: SimTime,

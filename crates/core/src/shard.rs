@@ -61,9 +61,10 @@ impl Shard {
 }
 
 /// A [`SharedSession`] plus the shard partition of its clients and
-/// their links. Drive drawing through [`session_mut`]
-/// (Self::session_mut) (the session implements `VideoDriver`) and
-/// delivery through [`flush_epoch`](Self::flush_epoch).
+/// their links. Drive drawing through
+/// [`session_mut`](Self::session_mut) (the session implements
+/// `VideoDriver`) and delivery through
+/// [`flush_epoch`](Self::flush_epoch).
 #[derive(Debug)]
 pub struct ShardedManager {
     session: SharedSession,

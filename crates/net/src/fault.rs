@@ -17,9 +17,9 @@
 //! corrupted payload, but real deployments sit behind broken
 //! middleboxes, damaged proxies and buggy drivers, so the plan also
 //! supports corruption windows that damage the *byte stream itself*
-//! (applied by the harness via [`TcpPipe::corrupt`]
-//! (crate::tcp::TcpPipe::corrupt)) — this is what exercises the
-//! protocol decoder's skip-and-resync path.
+//! (applied by the harness via
+//! [`TcpPipe::corrupt`](crate::tcp::TcpPipe::corrupt)) — this is what
+//! exercises the protocol decoder's skip-and-resync path.
 
 use crate::time::{SimDuration, SimTime};
 

@@ -2,9 +2,8 @@
 //!
 //! Maps every [`Message`] onto the [`CommandKind`] taxonomy of
 //! `thinc-telemetry`, and provides the one-call helper instrumented
-//! senders use to account a message into a
-//! [`ProtocolMetrics`](thinc_telemetry::ProtocolMetrics) as it is
-//! committed to the wire.
+//! senders use to account a message into a [`ProtocolMetrics`] as it
+//! is committed to the wire.
 
 use thinc_telemetry::{CommandKind, ProtocolMetrics};
 

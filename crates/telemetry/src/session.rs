@@ -157,6 +157,7 @@ pub struct SchedulerMetrics {
     merges: Counter,
     evictions: Counter,
     splits: Counter,
+    compress_input_bytes: Counter,
     flush_latency_us: Histogram,
 }
 
@@ -169,6 +170,7 @@ impl SchedulerMetrics {
             merges: Counter::new(),
             evictions: Counter::new(),
             splits: Counter::new(),
+            compress_input_bytes: Counter::new(),
             flush_latency_us: latency_histogram(),
         }
     }
@@ -186,6 +188,12 @@ impl SchedulerMetrics {
     /// Records that a large command was split to fit socket space.
     pub fn record_split(&mut self) {
         self.splits.inc();
+    }
+
+    /// Records `bytes` of RAW payload read by flush-time compression,
+    /// counting encodes that stopped partway.
+    pub fn record_compress_input(&mut self, bytes: u64) {
+        self.compress_input_bytes.add(bytes);
     }
 
     /// Samples the depth of one size band and of the realtime queue.
@@ -221,6 +229,11 @@ impl SchedulerMetrics {
     /// Commands split for non-blocking delivery.
     pub fn splits(&self) -> u64 {
         self.splits.get()
+    }
+
+    /// RAW payload bytes read by flush-time compression.
+    pub fn compress_input_bytes(&self) -> u64 {
+        self.compress_input_bytes.get()
     }
 
     /// Depth gauge of one size band.
