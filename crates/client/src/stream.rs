@@ -915,7 +915,7 @@ mod tests {
         for chunk in bytes.chunks(4) {
             c.feed(chunk);
             assert_eq!(c.poll_reconnect(t), None);
-            t = t + SimDuration::from_millis(200);
+            t += SimDuration::from_millis(200);
         }
         assert!(!c.needs_refresh());
         assert_eq!(c.resilience_metrics().reconnects(), 0);

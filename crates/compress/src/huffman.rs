@@ -318,10 +318,7 @@ mod tests {
                     continue;
                 }
                 let prefix = codes[b] >> (lens[b] - lens[a]);
-                assert!(
-                    !(prefix == codes[a]),
-                    "code {a} is a prefix of {b}"
-                );
+                assert!(prefix != codes[a], "code {a} is a prefix of {b}");
             }
         }
     }

@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn sequence_numbers_increment() {
         let mut d = cd_quality().with_packet_bytes(10);
-        let msgs = d.write(&vec![0u8; 35]);
+        let msgs = d.write(&[0u8; 35]);
         let seqs: Vec<u32> = msgs
             .iter()
             .map(|m| match m {

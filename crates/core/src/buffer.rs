@@ -961,14 +961,6 @@ impl ClientBuffer {
         out
     }
 
-    /// Adds `region` to the overflow/refresh debt the owner repays
-    /// from the authoritative screen. Used by the warm-resume path to
-    /// schedule exactly the tiles that changed while the session was
-    /// checkpointed.
-    pub(crate) fn owe_refresh_region(&mut self, region: &Region) {
-        self.overflow_debt.union(region);
-    }
-
     /// Drops the cache ledger's entries and any queued miss fallbacks
     /// (lifetime counters survive). Cold reconnect clears the client's
     /// store, so the mirrored-LRU invariant only holds if the ledger

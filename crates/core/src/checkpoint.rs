@@ -34,8 +34,10 @@ use thinc_raster::{Framebuffer, PixelFormat, Rect, Region};
 /// Leading magic of every checkpoint image.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"THNC";
 
-/// Layout version written by this build.
-pub const CHECKPOINT_VERSION: u16 = 1;
+/// Layout version written by this build. Version 2 moved every
+/// per-client field into one pipeline section shared by the server
+/// and session images; a version-1 image is refused, never misparsed.
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Header bytes before the payload: magic + version + length + CRC.
 pub const CHECKPOINT_HEADER_LEN: usize = 4 + 2 + 4 + 4;
@@ -306,14 +308,15 @@ impl Writer {
         self.bytes(v.as_bytes());
     }
 
-    pub(crate) fn opt_str(&mut self, v: Option<&str>) {
-        match v {
-            Some(s) => {
-                self.bool(true);
-                self.str(s);
-            }
-            None => self.bool(false),
+    pub(crate) fn opt_bytes(&mut self, v: Option<&[u8]>) {
+        self.bool(v.is_some());
+        if let Some(b) = v {
+            self.bytes(b);
         }
+    }
+
+    pub(crate) fn opt_str(&mut self, v: Option<&str>) {
+        self.opt_bytes(v.map(str::as_bytes));
     }
 
     pub(crate) fn rect(&mut self, r: &Rect) {
@@ -463,6 +466,10 @@ impl<'a> Reader<'a> {
     pub(crate) fn str(&mut self) -> Result<String, CheckpointError> {
         let raw = self.bytes()?;
         String::from_utf8(raw.to_vec()).map_err(|_| CheckpointError::Malformed("utf-8 string"))
+    }
+
+    pub(crate) fn opt_bytes(&mut self) -> Result<Option<&'a [u8]>, CheckpointError> {
+        Ok(if self.bool()? { Some(self.bytes()?) } else { None })
     }
 
     pub(crate) fn opt_str(&mut self) -> Result<Option<String>, CheckpointError> {

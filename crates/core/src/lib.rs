@@ -27,6 +27,11 @@
 //!   together, including RAW compression and RC4 session encryption
 //!   (§7).
 //!
+//! Both owners drive the same per-client delivery pipeline (buffer,
+//! scaling, A/V, liveness, degradation, refresh debt, flush and the
+//! per-client checkpoint section): the server owns one, the session
+//! one per attached client.
+//!
 //! The hot path is instrumented with `thinc-telemetry`: the command
 //! buffer owns the scheduler metrics (queue depths, merges,
 //! evictions, splits, enqueue-to-wire latency) and the per-command
@@ -43,6 +48,7 @@ pub mod checkpoint;
 pub mod degradation;
 pub mod liveness;
 pub mod parallel;
+mod pipeline;
 pub mod plane;
 pub mod queue;
 pub mod scaling;

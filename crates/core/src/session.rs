@@ -10,12 +10,14 @@
 //!
 //! [`SharedSession`] multiplexes one display over any number of
 //! clients: operations are translated once, and the resulting
-//! commands fan out to a per-client buffer with per-client viewport
-//! scaling — so a PDA peer can watch a desktop host's session.
+//! commands fan out to each client's delivery pipeline (the same
+//! per-client pipeline [`crate::server::ThincServer`] drives) with
+//! per-client viewport scaling — so a PDA peer can watch a desktop
+//! host's session.
 //!
 //! Per-client work (command scaling, buffering, flush-time RAW
 //! compression) is embarrassingly parallel: every client owns its
-//! delivery state. [`SharedSession::with_workers`] fans that work out
+//! delivery pipeline. [`SharedSession::with_workers`] fans that work out
 //! over [`crate::parallel::for_each_mut`] scoped threads; results are
 //! merged in client-id order, so output is bit-identical for every
 //! worker count.
@@ -23,7 +25,7 @@
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
 use thinc_net::tcp::TcpPipe;
-use thinc_net::time::{SimDuration, SimTime};
+use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::Message;
@@ -34,12 +36,11 @@ use crate::checkpoint::{
     cache_digest, format_from_u8, format_to_u8, CheckpointError, Reader, ResumeOutcome,
     TileDigests, Writer,
 };
-use crate::degradation::{DegradationConfig, DegradationController, DegradationLevel, EpochSignals};
-use crate::liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
+use crate::degradation::{DegradationConfig, DegradationLevel};
+use crate::liveness::{LivenessConfig, LivenessVerdict};
+use crate::pipeline::{is_copy, ClientPipeline, PipelineConfig, Renderer};
 use crate::plane::{PlaneCounters, WirePlane};
-use crate::scaling::ScalePolicy;
 use crate::translator::Translator;
-use crate::video::VideoStreamManager;
 
 /// Credentials presented by a connecting client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,156 +125,36 @@ pub struct ClientId(pub u32);
 /// [`SharedSession::flush_all`] and [`SharedSession::flush_subset`].
 pub type FlushOutput = Vec<(ClientId, Vec<(SimTime, Message)>)>;
 
-/// Per-client delivery state.
-struct ClientState {
-    user: String,
-    buffer: ClientBuffer,
-    scale: ScalePolicy,
-    video: VideoStreamManager,
-    /// Audio/video messages awaiting this client's next flush.
-    pending_av: Vec<Message>,
-    /// Liveness tracking for this client (when the session enables it).
-    liveness: Option<LivenessTracker>,
-    /// Session geometry (needed to rebuild the scale policy when the
-    /// degradation ladder moves).
-    session: (u32, u32),
-    /// The viewport this client announced at attach.
-    viewport: (u32, u32),
-    /// Per-client adaptive degradation (when the session enables it).
-    /// Per-client — not shared — so parallel flush fan-out stays
-    /// deterministic: each worker only touches its own controller.
-    degradation: Option<DegradationController>,
-    /// This client owes a full-view refresh (fresh attach, explicit
-    /// resync, or a degradation transition re-aimed its scale).
-    /// Repaid by the next broadcast, which has the screen in hand.
-    refresh_owed: bool,
-    /// Per-client resilience accounting (pings, timeouts, resyncs,
-    /// degradation steps) — per-client attribution for shared
-    /// sessions, merged with buffer evictions at read time.
-    resilience: thinc_telemetry::ResilienceMetrics,
-    /// Set when this client's flush panicked under the parallel
-    /// fan-out: the panic was contained, the client is isolated from
-    /// all further broadcast/flush work, and the session keeps
-    /// serving everyone else. A quarantined client's state is
-    /// unspecified (the panic may have struck mid-mutation); the only
-    /// way back is detach + re-attach.
-    quarantined: bool,
-    /// Test/chaos hook: the next flush of this client panics
-    /// deliberately, exercising the quarantine path.
-    poison_flush: bool,
-}
-
-impl ClientState {
-    /// The viewport actually targeted: the announced viewport shrunk
-    /// by the degradation ladder's scale divisor.
-    fn effective_viewport(&self) -> (u32, u32) {
-        let div = self
-            .degradation
-            .as_ref()
-            .map(|c| c.level().scale_divisor())
-            .unwrap_or(1)
-            .max(1);
-        ((self.viewport.0 / div).max(1), (self.viewport.1 / div).max(1))
-    }
-
-    /// Rebuilds scale and video resampling for the current effective
-    /// viewport, preserving the zoom view. Pending commands target the
-    /// outgoing coordinate space, so they are dropped and replaced by
-    /// a full-view refresh on the next broadcast.
-    fn rescale_for_degradation(&mut self) {
-        let _ = self.buffer.drop_pending_for_rescale();
-        let view = self.scale.view;
-        let (ew, eh) = self.effective_viewport();
-        self.scale =
-            ScalePolicy::new(self.session.0, self.session.1, ew, eh).with_view(view);
-        self.video.set_scale(ew, self.session.0, eh, self.session.1);
-        self.refresh_owed = true;
-    }
-
-    /// Queues the owed full-view refresh, if any. Scaling runs on the
-    /// current (post-transition) policy, so the client converges to
-    /// the effective viewport's rendition of the screen.
-    fn repay_refresh(&mut self, screen: &Framebuffer) {
-        if !self.refresh_owed {
-            return;
-        }
-        self.refresh_owed = false;
-        let view = self.scale.view;
-        let (clip, data) = screen.get_raw(&view);
-        if clip.is_empty() {
-            return;
-        }
-        let cmd = DisplayCommand::Raw {
-            rect: clip,
-            encoding: thinc_protocol::commands::RawEncoding::None,
-            data: data.into(),
-        };
-        if self.scale.is_identity() {
-            self.buffer.push(cmd, false);
-        } else if let Some(scaled) = self.scale.transform(&cmd, screen) {
-            self.buffer.push(scaled, false);
-        }
-    }
-
-    /// Requeues screen content for regions the buffer evicted under
-    /// its byte bound. Debt is recorded in the buffer's (viewport)
-    /// coordinate space, so each rect is unmapped to session space
-    /// before reading the screen and re-scaled exactly once on the
-    /// way back in.
-    fn repay_debt(&mut self, screen: &Framebuffer) {
-        if !self.buffer.has_overflow_debt() {
-            return;
-        }
-        let debt = self.buffer.take_overflow_debt();
-        for rect in debt.rects() {
-            let session_rect = if self.scale.is_identity() {
-                *rect
-            } else {
-                self.scale.unmap_rect(rect)
-            };
-            if session_rect.is_empty() {
-                continue;
-            }
-            let (clip, data) = screen.get_raw(&session_rect);
-            if clip.is_empty() {
-                continue;
-            }
-            let cmd = DisplayCommand::Raw {
-                rect: clip,
-                encoding: thinc_protocol::commands::RawEncoding::None,
-                data: data.into(),
-            };
-            if self.scale.is_identity() {
-                self.buffer.push_unbounded(cmd, false);
-            } else if let Some(scaled) = self.scale.transform(&cmd, screen) {
-                self.buffer.push_unbounded(scaled, false);
-            }
-        }
-    }
+/// Whether a client has been quarantined: its flush panicked under
+/// the parallel fan-out. The panic was contained, and the client is
+/// isolated from all further broadcast/flush work while the session
+/// keeps serving everyone else. A quarantined client's state is
+/// unspecified (the panic may have struck mid-mutation); the only way
+/// back is detach + re-attach.
+fn quarantined(p: &ClientPipeline) -> bool {
+    p.resilience.panics_quarantined() > 0
 }
 
 /// One display session shared by any number of authenticated clients.
 ///
 /// Implements [`VideoDriver`], so it attaches below a window server
 /// exactly like [`crate::server::ThincServer`] — but fans every
-/// translated command out to each client's buffer, scaled to that
-/// client's viewport.
+/// translated command out to each client's delivery pipeline, scaled
+/// to that client's viewport.
 pub struct SharedSession {
-    width: u32,
-    height: u32,
     format: PixelFormat,
     auth: SessionAuth,
     translator: Translator,
-    /// Attached clients in id (= attach) order. A `Vec` rather than a
-    /// map: ids are sequential, iteration order is the deterministic
-    /// merge order for parallel fan-out, and sessions hold few clients.
-    clients: Vec<(ClientId, ClientState)>,
+    /// Attached clients in id (= attach) order, each with the user it
+    /// authenticated as. A `Vec` rather than a map: ids are
+    /// sequential, iteration order is the deterministic merge order
+    /// for parallel fan-out, and sessions hold few clients.
+    clients: Vec<(ClientId, String, ClientPipeline)>,
     next_client: u32,
     now: SimTime,
-    /// Liveness policy applied to every attached client.
-    liveness: Option<LivenessConfig>,
-    /// Degradation policy applied to every attached client.
-    degradation: Option<DegradationConfig>,
+    /// Session geometry plus the liveness and degradation policies
+    /// every client attached from now on receives.
+    pipeline: PipelineConfig,
     /// Byte bound applied to every client buffer attached from now on.
     buffer_bound: Option<u64>,
     /// Content-cache budget for every client attached from now on
@@ -307,16 +188,20 @@ impl SharedSession {
     /// Creates a session of the given geometry owned by `owner`.
     pub fn new(width: u32, height: u32, format: PixelFormat, owner: &str) -> Self {
         Self {
-            width,
-            height,
             format,
             auth: SessionAuth::new(owner),
             translator: Translator::new(),
             clients: Vec::new(),
             next_client: 0,
             now: SimTime::ZERO,
-            liveness: None,
-            degradation: None,
+            pipeline: PipelineConfig {
+                width,
+                height,
+                scaling: true,
+                av_bound: None,
+                liveness: None,
+                degradation: None,
+            },
             buffer_bound: None,
             cache_budget: None,
             workers: 1,
@@ -329,7 +214,7 @@ impl SharedSession {
     /// Enables liveness tracking: every client attached from now on
     /// is probed when silent and declared dead past the timeout.
     pub fn with_liveness(mut self, config: LivenessConfig) -> Self {
-        self.liveness = Some(config);
+        self.pipeline.liveness = Some(config);
         self
     }
 
@@ -339,7 +224,7 @@ impl SharedSession {
     /// parallel flush fan-out deterministic — a struggling PDA peer
     /// degrades without touching the desktop owner's fidelity.
     pub fn with_degradation(mut self, config: DegradationConfig) -> Self {
-        self.degradation = Some(config);
+        self.pipeline.degradation = Some(config);
         self
     }
 
@@ -371,18 +256,18 @@ impl SharedSession {
         self
     }
 
-    fn state(&self, id: ClientId) -> Option<&ClientState> {
-        self.clients
-            .iter()
-            .find(|(cid, _)| *cid == id)
-            .map(|(_, s)| s)
+    fn client(&self, id: ClientId) -> Option<&ClientPipeline> {
+        self.clients.iter().find(|c| c.0 == id).map(|c| &c.2)
     }
 
-    fn state_mut(&mut self, id: ClientId) -> Option<&mut ClientState> {
-        self.clients
-            .iter_mut()
-            .find(|(cid, _)| *cid == id)
-            .map(|(_, s)| s)
+    fn client_mut(&mut self, id: ClientId) -> Option<&mut ClientPipeline> {
+        self.clients.iter_mut().find(|c| c.0 == id).map(|c| &mut c.2)
+    }
+
+    /// A client's pipeline unless it is quarantined (its state must
+    /// not be touched).
+    fn serving_mut(&mut self, id: ClientId) -> Option<&mut ClientPipeline> {
+        self.client_mut(id).filter(|p| !quarantined(p))
     }
 
     /// The authentication policy (enable/disable sharing here).
@@ -408,10 +293,6 @@ impl SharedSession {
         let user = match creds {
             Credentials::Owner { user } | Credentials::Peer { user, .. } => user.clone(),
         };
-        let vw = viewport_w.clamp(1, self.width);
-        let vh = viewport_h.clamp(1, self.height);
-        let mut video = VideoStreamManager::new();
-        video.set_scale(vw, self.width, vh, self.height);
         let mut buffer = ClientBuffer::new().with_raw_compression(self.format.bytes_per_pixel());
         if let Some(bound) = self.buffer_bound {
             buffer = buffer.with_byte_bound(bound);
@@ -419,26 +300,12 @@ impl SharedSession {
         if let Some(budget) = self.cache_budget {
             buffer.enable_cache(budget);
         }
-        self.clients.push((
-            id,
-            ClientState {
-                user,
-                buffer,
-                scale: ScalePolicy::new(self.width, self.height, vw, vh),
-                video,
-                pending_av: Vec::new(),
-                liveness: self.liveness.map(|c| LivenessTracker::new(c, self.now)),
-                session: (self.width, self.height),
-                viewport: (vw, vh),
-                degradation: self.degradation.map(DegradationController::new),
-                // A fresh attach owes the full view: the client's
-                // framebuffer starts empty.
-                refresh_owed: true,
-                resilience: thinc_telemetry::ResilienceMetrics::new(),
-                quarantined: false,
-                poison_flush: false,
-            },
-        ));
+        let mut p = ClientPipeline::new(self.pipeline, buffer, self.now);
+        p.set_viewport(viewport_w, viewport_h);
+        // A fresh attach owes the full view: the client's framebuffer
+        // starts empty.
+        p.refresh_owed = true;
+        self.clients.push((id, user, p));
         Ok(id)
     }
 
@@ -447,8 +314,8 @@ impl SharedSession {
     /// [`note_client_pong`](Self::note_client_pong) so stale ones
     /// can be rejected).
     pub fn note_client_activity(&mut self, id: ClientId, now: SimTime) {
-        if let Some(t) = self.state_mut(id).and_then(|c| c.liveness.as_mut()) {
-            t.note_activity(now);
+        if let Some(p) = self.client_mut(id) {
+            p.note_activity(now);
         }
     }
 
@@ -456,9 +323,7 @@ impl SharedSession {
     /// latest outstanding probe counts as fresh traffic (returns
     /// `true`); a stale or unsolicited one is ignored.
     pub fn note_client_pong(&mut self, id: ClientId, seq: u32, now: SimTime) -> bool {
-        self.state_mut(id)
-            .and_then(|c| c.liveness.as_mut())
-            .is_some_and(|t| t.note_pong(seq, now))
+        self.client_mut(id).is_some_and(|p| p.note_pong(seq, now))
     }
 
     /// Evaluates a client's liveness at `now`: a silent client gets a
@@ -467,40 +332,18 @@ impl SharedSession {
     /// [`reap_dead`](Self::reap_dead)). Returns `Alive` for unknown
     /// clients or when liveness is disabled.
     pub fn poll_client_liveness(&mut self, id: ClientId, now: SimTime) -> LivenessVerdict {
-        let Some(state) = self.state_mut(id) else {
-            return LivenessVerdict::Alive;
-        };
-        if state.quarantined {
+        match self.client_mut(id) {
+            None => LivenessVerdict::Alive,
             // A quarantined client cannot be served; report it dead
             // without queueing probes its flush would never carry.
-            return LivenessVerdict::Dead;
+            Some(p) if quarantined(p) => LivenessVerdict::Dead,
+            Some(p) => p.poll_liveness(now),
         }
-        let Some(t) = state.liveness.as_mut() else {
-            return LivenessVerdict::Alive;
-        };
-        let was_dead = t.is_dead();
-        let verdict = t.poll(now);
-        match verdict {
-            LivenessVerdict::SendPing { seq } => {
-                state.pending_av.push(Message::Ping {
-                    seq,
-                    timestamp_us: now.as_micros(),
-                });
-                state.resilience.record_ping_sent();
-            }
-            LivenessVerdict::Dead if !was_dead => {
-                state.resilience.record_liveness_timeout();
-            }
-            _ => {}
-        }
-        verdict
     }
 
     /// Whether a client has been declared dead.
     pub fn client_dead(&self, id: ClientId) -> bool {
-        self.state(id)
-            .and_then(|c| c.liveness.as_ref())
-            .is_some_and(|t| t.is_dead())
+        self.client(id).is_some_and(|p| p.is_dead())
     }
 
     /// Detaches every dead client, freeing its buffers (a dead
@@ -508,20 +351,17 @@ impl SharedSession {
     /// Returns the reaped ids; a reaped client reconnects by
     /// re-attaching and resyncing.
     pub fn reap_dead(&mut self) -> Vec<ClientId> {
-        let dead: Vec<ClientId> = self
-            .clients
-            .iter()
-            .filter(|(_, c)| c.liveness.as_ref().is_some_and(|t| t.is_dead()))
-            .map(|(id, _)| *id)
+        let dead: Vec<ClientId> = (self.clients.iter())
+            .filter(|c| c.2.is_dead())
+            .map(|c| c.0)
             .collect();
-        self.clients
-            .retain(|(_, c)| !c.liveness.as_ref().is_some_and(|t| t.is_dead()));
+        self.clients.retain(|c| !c.2.is_dead());
         dead
     }
 
     /// Detaches a client.
     pub fn detach(&mut self, id: ClientId) {
-        self.clients.retain(|(cid, _)| *cid != id);
+        self.clients.retain(|c| c.0 != id);
     }
 
     /// Number of attached clients.
@@ -531,180 +371,99 @@ impl SharedSession {
 
     /// The user name of an attached client.
     pub fn client_user(&self, id: ClientId) -> Option<&str> {
-        self.state(id).map(|c| c.user.as_str())
+        self.clients.iter().find(|c| c.0 == id).map(|c| c.1.as_str())
     }
 
     /// Pending commands for a client.
     pub fn backlog(&self, id: ClientId) -> usize {
-        self.state(id).map(|c| c.buffer.len()).unwrap_or(0)
+        self.client(id).map_or(0, |p| p.buffer.len())
     }
 
-    /// Fans translated commands out to every client, scaled. Clients
-    /// are independent, so the scaling/buffering runs on the session's
-    /// worker pool; per-client push order is the command order either
-    /// way.
+    /// Fans one draw round out to every client. Clients are grouped
+    /// into render classes: clients with the same scale receive
+    /// identical command streams, so each class is rendered once —
+    /// in parallel across classes — and shared by reference (`Bytes`
+    /// payloads make the per-client clone an `Arc` bump, not a copy).
+    /// Each client's pipeline then delivers the round (owed refresh,
+    /// commands, debt) on the session's worker pool; per-client push
+    /// order is the command order either way.
     fn broadcast(&mut self, cmds: Vec<DisplayCommand>, screen: &Framebuffer) {
-        // `screen` already reflects the commands being broadcast
-        // (the store is mutated before the driver call). COPY is
-        // the one non-idempotent command: applied on top of a
-        // snapshot that already contains its effect it scrolls
-        // twice wherever source and destination overlap. So a
-        // client owed a refresh — whose snapshot covers the whole
-        // view — must not receive this round's COPYs; and a
-        // client with partial overflow debt cannot soundly take a
-        // COPY either (the debt repaint may cover only part of
-        // the copy's footprint), so its debt escalates to a full
-        // refresh first. Idempotent repaints still flow: redundant
-        // over a snapshot, but they keep the content cache warm.
-        let has_copy = cmds
-            .iter()
-            .any(|c| matches!(c, DisplayCommand::Copy { .. }));
-        // Serial pre-pass: settle the COPY/debt escalation, snapshot
-        // refresh owage, and group clients into scale-equivalence
-        // classes. Clients at the same scale policy receive identical
-        // command streams, so each class is translated once below and
-        // shared by reference (`Bytes` payloads make the per-client
-        // clone an `Arc` bump, not a copy).
+        let has_copy = cmds.iter().any(is_copy);
+        // Serial pre-pass: settle each client's COPY guard and group
+        // the clients into classes.
         let mut classes: Vec<BroadcastClass> = Vec::new();
         let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
-        let mut repaid: Vec<bool> = Vec::with_capacity(self.clients.len());
-        for (_, state) in self.clients.iter_mut() {
-            if state.quarantined {
+        for (_, _, p) in self.clients.iter_mut() {
+            if quarantined(p) {
                 class_of.push(usize::MAX);
-                repaid.push(false);
                 continue;
             }
-            if has_copy && state.buffer.has_overflow_debt() {
-                state.refresh_owed = true;
-            }
-            repaid.push(state.refresh_owed);
-            let idx = match classes.iter().position(|c| c.policy == state.scale) {
+            let owes = p.owes_refresh(has_copy);
+            let renderer = p.renderer();
+            let idx = match classes.iter().position(|c| c.renderer == renderer) {
                 Some(i) => i,
                 None => {
                     classes.push(BroadcastClass {
-                        policy: state.scale,
-                        transformed: Vec::new(),
+                        renderer,
+                        rendered: Vec::new(),
                         refresh: None,
                         refresh_wanted: false,
                     });
                     classes.len() - 1
                 }
             };
-            classes[idx].refresh_wanted |= state.refresh_owed;
+            classes[idx].refresh_wanted |= owes;
             class_of.push(idx);
         }
-        // Translate each class once, in parallel across classes.
         let cmds = &cmds;
         crate::parallel::for_each_mut(&mut classes, self.workers, |_, class| {
-            class.transformed = cmds
-                .iter()
-                .map(|c| {
-                    if class.policy.is_identity() {
-                        Some(c.clone())
-                    } else {
-                        class.policy.transform(c, screen)
-                    }
-                })
-                .collect();
+            class.rendered = cmds.iter().map(|c| class.renderer.render(c.clone(), screen)).collect();
             if class.refresh_wanted {
-                class.refresh = shared_refresh(&class.policy, screen);
+                class.refresh = class.renderer.view_refresh(screen);
             }
         });
-        // Per-client fan-out: push the class's shared commands.
-        let classes = &classes;
-        let class_of = &class_of;
-        let repaid = &repaid;
-        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, state)| {
-            let ci = class_of[i];
-            if ci == usize::MAX {
+        let (classes, class_of) = (&classes, &class_of);
+        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, _, p)| {
+            // Quarantined clients have no class (`usize::MAX`).
+            let Some(class) = classes.get(class_of[i]) else {
                 return;
-            }
-            let class = &classes[ci];
-            if state.refresh_owed {
-                state.refresh_owed = false;
-                if let Some(r) = &class.refresh {
-                    state.buffer.push(r.clone(), false);
-                }
-            }
-            state.repay_debt(screen);
-            for (cmd, shared) in cmds.iter().zip(&class.transformed) {
-                if repaid[i] && matches!(cmd, DisplayCommand::Copy { .. }) {
-                    continue;
-                }
-                if let Some(sc) = shared {
-                    state.buffer.push(sc.clone(), false);
-                }
-            }
-        });
-    }
-
-    /// Settles every client's owed refreshes and eviction debt
-    /// against the current screen without requiring a draw. Call this
-    /// before flushing when the display is quiescent — a freshly
-    /// attached or resynced client is owed the full view even if
-    /// nothing paints.
-    pub fn repay_refreshes(&mut self, screen: &Framebuffer) {
-        // Same class sharing as `broadcast`: one refresh rendition per
-        // scale policy, cloned (= `Arc`-bumped) per owing client.
-        let mut classes: Vec<(ScalePolicy, Option<DisplayCommand>)> = Vec::new();
-        let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
-        for (_, state) in self.clients.iter() {
-            if state.quarantined || !state.refresh_owed {
-                class_of.push(usize::MAX);
-                continue;
-            }
-            let idx = match classes.iter().position(|(p, _)| *p == state.scale) {
-                Some(i) => i,
-                None => {
-                    classes.push((state.scale, None));
-                    classes.len() - 1
-                }
             };
-            class_of.push(idx);
-        }
-        crate::parallel::for_each_mut(&mut classes, self.workers, |_, (policy, refresh)| {
-            *refresh = shared_refresh(policy, screen);
-        });
-        let classes = &classes;
-        let class_of = &class_of;
-        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, state)| {
-            if state.quarantined {
-                return;
-            }
-            if class_of[i] != usize::MAX {
-                state.refresh_owed = false;
-                if let Some(r) = &classes[class_of[i]].1 {
-                    state.buffer.push(r.clone(), false);
-                }
-            }
-            state.repay_debt(screen);
+            let round = (cmds.iter().zip(&class.rendered)).map(|(c, r)| (is_copy(c), false, r.clone()));
+            p.deliver(class.refresh.as_ref(), false, round, screen);
         });
     }
 
-    /// Handles a client's explicit resync request: drops that
-    /// client's (possibly stale) pending commands and owes it a
+    /// Video bypasses the display buffer: each client's stream manager
+    /// resamples the frame for its viewport and queues it on that
+    /// client's A/V channel.
+    fn show_video(&mut self, frame: &YuvFrame, dst: Rect) {
+        let ts = self.now.as_micros();
+        for (_, _, p) in self.clients.iter_mut().filter(|c| !quarantined(&c.2)) {
+            p.display_video(frame, dst, ts);
+        }
+    }
+
+    /// Settles every client's owed refreshes and refresh debt against
+    /// the current screen without requiring a draw. Call this before
+    /// flushing when the display is quiescent — a freshly attached or
+    /// resynced client is owed the full view even if nothing paints.
+    pub fn repay_refreshes(&mut self, screen: &Framebuffer) {
+        self.broadcast(Vec::new(), screen);
+    }
+
+    /// Handles a client's explicit resync request: owes that client a
     /// full-view refresh, settled immediately against `screen`.
     pub fn resync_client(&mut self, id: ClientId, screen: &Framebuffer) {
-        let Some(state) = self.state_mut(id) else {
-            return;
-        };
-        if state.quarantined {
-            return;
+        if let Some(p) = self.serving_mut(id) {
+            p.resync(screen, false);
         }
-        let _ = state.buffer.drop_pending_for_rescale();
-        let _ = state.buffer.take_overflow_debt();
-        state.refresh_owed = true;
-        state.resilience.record_resync();
-        state.repay_refresh(screen);
     }
 
     /// The degradation ladder level a client currently runs at
     /// ([`DegradationLevel::Full`] when degradation is disabled or
     /// the client is unknown).
     pub fn client_degradation_level(&self, id: ClientId) -> DegradationLevel {
-        self.state(id)
-            .and_then(|s| s.degradation.as_ref().map(|c| c.level()))
-            .unwrap_or(DegradationLevel::Full)
+        self.client(id).map_or(DegradationLevel::Full, |p| p.level())
     }
 
     /// A snapshot of one client's resilience counters (per-client
@@ -712,13 +471,7 @@ impl SharedSession {
     /// with that client's buffer evictions and content-cache counters
     /// folded in.
     pub fn client_resilience(&self, id: ClientId) -> Option<thinc_telemetry::ResilienceMetrics> {
-        self.state(id).map(|s| {
-            let mut m = s.resilience.clone();
-            m.add_overflow_evictions(s.buffer.stats().overflow_evicted);
-            let (hits, misses, evictions, saved) = s.buffer.cache_counts();
-            m.add_cache_counts(hits, misses, evictions, saved);
-            m
-        })
+        self.client(id).map(|p| p.resilience_metrics())
     }
 
     /// Handles a [`Message::CacheMiss`] from a client: queues the
@@ -729,17 +482,7 @@ impl SharedSession {
     /// and the client is owed a full-view refresh on the next
     /// broadcast either way).
     pub fn client_cache_miss(&mut self, id: ClientId, hash: u64) -> bool {
-        let Some(state) = self.state_mut(id) else {
-            return false;
-        };
-        if state.quarantined {
-            return false;
-        }
-        let satisfied = state.buffer.satisfy_cache_miss(hash);
-        if !satisfied {
-            state.refresh_owed = true;
-        }
-        satisfied
+        self.serving_mut(id).is_some_and(|p| p.cache_miss(hash))
     }
 
     /// Flushes one client's buffer over its own connection.
@@ -750,13 +493,10 @@ impl SharedSession {
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
-        let Some(state) = self.state_mut(id) else {
-            return Vec::new();
-        };
-        if state.quarantined {
-            return Vec::new();
+        match self.serving_mut(id) {
+            Some(p) => p.flush(now, pipe, trace, None, &mut PlaneCounters::default()),
+            None => Vec::new(),
         }
-        flush_client_state(state, now, pipe, trace, None, &mut PlaneCounters::default())
     }
 
     /// Flushes **every** client's buffer, each over its own
@@ -788,9 +528,7 @@ impl SharedSession {
         // [`crate::plane`]); output bytes are unchanged.
         let plane = WirePlane::new();
         let ids = self.client_ids();
-        let (out, counters) = self.flush_subset_inner(now, &ids, links, Some(&plane));
-        self.fanout.merge(&counters);
-        out
+        self.flush_subset(now, &ids, links, Some(&plane)).0
     }
 
     /// Flushes the listed clients (a *shard* of the session), each
@@ -814,37 +552,20 @@ impl SharedSession {
         links: &mut [(TcpPipe, PacketTrace)],
         plane: Option<&WirePlane>,
     ) -> (FlushOutput, PlaneCounters) {
-        let (out, counters) = self.flush_subset_inner(now, ids, links, plane);
-        self.fanout.merge(&counters);
-        (out, counters)
-    }
-
-    fn flush_subset_inner(
-        &mut self,
-        now: SimTime,
-        ids: &[ClientId],
-        links: &mut [(TcpPipe, PacketTrace)],
-        plane: Option<&WirePlane>,
-    ) -> (FlushOutput, PlaneCounters) {
         assert_eq!(links.len(), ids.len(), "one (pipe, trace) link per flushed client");
-        let mut jobs: Vec<_> = self
-            .clients
-            .iter_mut()
-            .filter(|(id, _)| ids.binary_search(id).is_ok())
+        let mut jobs: Vec<_> = (self.clients.iter_mut())
+            .filter(|c| ids.binary_search(&c.0).is_ok())
             .zip(links.iter_mut())
-            .map(|((id, state), link)| {
-                (*id, state, link, Vec::new(), PlaneCounters::default())
-            })
+            .map(|((id, _, p), link)| (*id, p, link, Vec::new(), PlaneCounters::default()))
             .collect();
         assert_eq!(jobs.len(), ids.len(), "every flushed id must be attached");
         let caught = crate::parallel::try_for_each_mut(
             &mut jobs,
             self.workers,
-            |_, (_, state, link, out, counters)| {
-                if state.quarantined {
-                    return;
+            |_, (_, p, link, out, counters)| {
+                if !quarantined(p) {
+                    *out = p.flush(now, &mut link.0, &mut link.1, plane, counters);
                 }
-                *out = flush_client_state(state, now, &mut link.0, &mut link.1, plane, counters);
             },
         );
         // Panic containment: a client whose flush panicked is
@@ -852,19 +573,17 @@ impl SharedSession {
         // counted in its resilience metrics, and every other client's
         // output is delivered untouched.
         let mut total = PlaneCounters::default();
-        for ((_, state, _, out, counters), panic_msg) in jobs.iter_mut().zip(&caught) {
+        for ((_, p, _, out, counters), panic_msg) in jobs.iter_mut().zip(&caught) {
             if panic_msg.is_some() {
-                state.quarantined = true;
-                state.resilience.record_panic_quarantined();
+                p.resilience.record_panic_quarantined();
                 out.clear();
             } else {
                 total.merge(counters);
             }
         }
-        (
-            jobs.into_iter().map(|(id, _, _, out, _)| (id, out)).collect(),
-            total,
-        )
+        self.fanout.merge(&total);
+        let out = jobs.into_iter().map(|(id, _, _, out, _)| (id, out)).collect();
+        (out, total)
     }
 
     /// Cumulative encode-once plane counters over every flush round
@@ -876,34 +595,29 @@ impl SharedSession {
     /// Total wire bytes sent to a client so far (fairness metric for
     /// the fan-out gate).
     pub fn client_sent_bytes(&self, id: ClientId) -> u64 {
-        self.state(id).map(|s| s.buffer.stats().sent_bytes).unwrap_or(0)
+        self.client(id).map_or(0, |p| p.buffer.stats().sent_bytes)
     }
 
     /// A client's enqueue-to-wire flush-latency histogram
     /// (microseconds of virtual time), for cross-client percentile
     /// merging.
     pub fn client_flush_latency(&self, id: ClientId) -> Option<&thinc_telemetry::Histogram> {
-        self.state(id).map(|s| s.buffer.scheduler_metrics().flush_latency_us())
+        self.client(id).map(|p| p.buffer.scheduler_metrics().flush_latency_us())
     }
 
     /// Applies a client's viewport change mid-session (window resize,
     /// device switch). Pending commands target the outgoing
     /// coordinate space, so they — and any queued cache-miss
-    /// fallbacks — are dropped, and the client is owed a full-view
-    /// refresh at the new scale (settled by the next broadcast or
-    /// [`repay_refreshes`](Self::repay_refreshes)). Counted as a
-    /// resync in the client's resilience metrics.
+    /// fallbacks — retire into refresh debt, and the client is owed
+    /// a full-view refresh at the new scale (settled by the next
+    /// broadcast or [`repay_refreshes`](Self::repay_refreshes)).
+    /// Counted as a resync in the client's resilience metrics.
     pub fn resize_client(&mut self, id: ClientId, viewport_w: u32, viewport_h: u32) {
-        let (sw, sh) = (self.width, self.height);
-        let Some(state) = self.state_mut(id) else {
-            return;
-        };
-        if state.quarantined {
-            return;
+        if let Some(p) = self.serving_mut(id) {
+            p.set_viewport(viewport_w, viewport_h);
+            p.resilience.record_resync();
+            p.refresh_owed = true;
         }
-        state.viewport = (viewport_w.clamp(1, sw), viewport_h.clamp(1, sh));
-        state.resilience.record_resync();
-        state.rescale_for_degradation();
     }
 
     /// Changes the content-cache budget applied to clients attached
@@ -922,26 +636,26 @@ impl SharedSession {
 
     /// Attached client ids, in attach (= flush merge) order.
     pub fn client_ids(&self) -> Vec<ClientId> {
-        self.clients.iter().map(|(id, _)| *id).collect()
+        self.clients.iter().map(|c| c.0).collect()
     }
 
     /// Whether a client has been quarantined by flush panic
     /// containment.
     pub fn client_quarantined(&self, id: ClientId) -> bool {
-        self.state(id).is_some_and(|s| s.quarantined)
+        self.client(id).is_some_and(quarantined)
     }
 
     /// Number of currently quarantined clients.
     pub fn quarantined_count(&self) -> usize {
-        self.clients.iter().filter(|(_, s)| s.quarantined).count()
+        self.clients.iter().filter(|c| quarantined(&c.2)).count()
     }
 
     /// Test/chaos hook: arms a deliberate panic inside `id`'s next
     /// flush, on whatever worker thread the fan-out assigns it —
     /// exercising the quarantine path end to end.
     pub fn poison_next_flush(&mut self, id: ClientId) {
-        if let Some(state) = self.state_mut(id) {
-            state.poison_flush = true;
+        if let Some(p) = self.client_mut(id) {
+            p.poison_flush = true;
         }
     }
 
@@ -949,32 +663,33 @@ impl SharedSession {
     /// when the cache is off or the client is unknown). For coherence
     /// checks against the client store.
     pub fn client_cache_keys(&self, id: ClientId) -> Vec<u64> {
-        self.state(id).map(|s| s.buffer.cache_keys()).unwrap_or_default()
+        self.client(id).map(|p| p.buffer.cache_keys()).unwrap_or_default()
     }
 
     /// Pending buffered bytes for a client.
     pub fn client_pending_bytes(&self, id: ClientId) -> u64 {
-        self.state(id).map(|s| s.buffer.pending_bytes()).unwrap_or(0)
+        self.client(id).map_or(0, |p| p.buffer.pending_bytes())
     }
 
     /// The byte bound a client's buffer currently enforces.
     pub fn client_effective_byte_bound(&self, id: ClientId) -> Option<u64> {
-        self.state(id).and_then(|s| s.buffer.effective_byte_bound())
+        self.client(id).and_then(|p| p.buffer.effective_byte_bound())
     }
 
     /// Whether a client is owed a full-view refresh.
     pub fn client_refresh_owed(&self, id: ClientId) -> bool {
-        self.state(id).is_some_and(|s| s.refresh_owed)
+        self.client(id).is_some_and(|p| p.refresh_owed)
     }
 
-    /// Whether a client's buffer carries unsettled overflow debt.
+    /// Whether a client still owes screen regions a repaint
+    /// (overflow evictions or commands retired by a rescale).
     pub fn client_has_overflow_debt(&self, id: ClientId) -> bool {
-        self.state(id).is_some_and(|s| s.buffer.has_overflow_debt())
+        self.client(id).is_some_and(|p| p.debt_outstanding())
     }
 
     /// Cache-miss fallbacks queued for a client but not yet delivered.
     pub fn client_fallbacks_pending(&self, id: ClientId) -> usize {
-        self.state(id).map(|s| s.buffer.fallbacks_pending()).unwrap_or(0)
+        self.client(id).map_or(0, |p| p.buffer.fallbacks_pending())
     }
 
     /// The session's stable identity, as carried by resume tokens.
@@ -983,7 +698,7 @@ impl SharedSession {
     }
 
     /// Serializes the full session — policy, every client's delivery
-    /// state, and per-tile digests of `screen` — into a versioned,
+    /// pipeline, and per-tile digests of `screen` — into a versioned,
     /// CRC-guarded checkpoint image ([`crate::checkpoint`]).
     ///
     /// Crash consistency comes from serializing raw internal state at
@@ -996,37 +711,19 @@ impl SharedSession {
     /// [`restore`](Self::restore)): the translator's pixmap queues
     /// (offscreen drawings replay into fresh queues), video stream
     /// internals (active streams are torn down across a failover and
-    /// re-announced), liveness trackers (restarted from config — a
-    /// restored server must not inherit pre-crash silence), telemetry
-    /// counters, and the encode-once plane accounting.
+    /// re-announced), queued liveness probes and the trackers
+    /// themselves (restarted from config — a restored server must not
+    /// inherit pre-crash silence), telemetry counters, and the
+    /// encode-once plane accounting.
     pub fn checkpoint(&self, screen: &Framebuffer) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u32(self.width);
-        w.u32(self.height);
+        self.pipeline.encode(&mut w);
         w.u8(format_to_u8(self.format));
         w.u64(self.session_id);
         w.str(&self.auth.owner);
         w.opt_str(self.auth.session_password.as_deref());
         w.u32(self.next_client);
         w.u64(self.now.0);
-        match self.liveness {
-            Some(cfg) => {
-                w.bool(true);
-                w.u64(cfg.timeout.0);
-                w.u64(cfg.ping_interval.0);
-            }
-            None => w.bool(false),
-        }
-        match self.degradation {
-            Some(cfg) => {
-                w.bool(true);
-                w.u32(cfg.degrade_after);
-                w.u32(cfg.promote_after);
-                w.f64(cfg.pressure_fraction);
-                w.u8(cfg.max_level.index() as u8);
-            }
-            None => w.bool(false),
-        }
         w.opt_u64(self.buffer_bound);
         w.opt_u64(self.cache_budget);
         w.u32(self.workers as u32);
@@ -1038,38 +735,12 @@ impl SharedSession {
         for d in &tiles.digests {
             w.u64(*d);
         }
-        let live: Vec<&(ClientId, ClientState)> = self
-            .clients
-            .iter()
-            .filter(|(_, s)| !s.quarantined)
-            .collect();
+        let live: Vec<_> = self.clients.iter().filter(|c| !quarantined(&c.2)).collect();
         w.u32(live.len() as u32);
-        for (id, state) in live {
+        for (id, user, p) in live {
             w.u32(id.0);
-            w.str(&state.user);
-            w.u32(state.viewport.0);
-            w.u32(state.viewport.1);
-            w.rect(&state.scale.view);
-            w.bool(state.refresh_owed);
-            w.u8(match &state.degradation {
-                Some(c) => c.level().index() as u8,
-                None => 0xFF,
-            });
-            state.buffer.encode_checkpoint(&mut w);
-            // Liveness probes are incarnation-local and never
-            // checkpointed: the restored standby's fresh tracker
-            // issues its own pings, and a carried-over probe would
-            // draw a pong the standby's reset telemetry never
-            // accounted for (breaking pong<=ping conservation).
-            let av: Vec<&Message> = state
-                .pending_av
-                .iter()
-                .filter(|m| !matches!(m, Message::Ping { .. }))
-                .collect();
-            w.u32(av.len() as u32);
-            for msg in av {
-                w.bytes(&thinc_protocol::wire::encode_message(msg));
-            }
+            w.str(user);
+            p.encode_checkpoint(&mut w);
         }
         crate::checkpoint::seal(w.into_inner())
     }
@@ -1083,32 +754,13 @@ impl SharedSession {
     pub fn restore(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let payload = crate::checkpoint::open(bytes)?;
         let mut r = Reader::new(payload);
-        let width = r.u32()?;
-        let height = r.u32()?;
+        let pipeline = PipelineConfig::decode(&mut r)?;
         let format = format_from_u8(r.u8()?)?;
         let session_id = r.u64()?;
         let owner = r.str()?;
         let session_password = r.opt_str()?;
         let next_client = r.u32()?;
         let now = SimTime(r.u64()?);
-        let liveness = if r.bool()? {
-            Some(LivenessConfig {
-                timeout: SimDuration(r.u64()?),
-                ping_interval: SimDuration(r.u64()?),
-            })
-        } else {
-            None
-        };
-        let degradation = if r.bool()? {
-            Some(DegradationConfig {
-                degrade_after: r.u32()?,
-                promote_after: r.u32()?,
-                pressure_fraction: r.f64()?,
-                max_level: level_from_u8(r.u8()?)?,
-            })
-        } else {
-            None
-        };
         let buffer_bound = r.opt_u64()?;
         let cache_budget = r.opt_u64()?;
         let workers = (r.u32()? as usize).max(1);
@@ -1128,68 +780,19 @@ impl SharedSession {
         for _ in 0..n_clients {
             let id = ClientId(r.u32()?);
             let user = r.str()?;
-            let vw = r.u32()?.clamp(1, width);
-            let vh = r.u32()?.clamp(1, height);
-            let view = r.rect()?;
-            let refresh_owed = r.bool()?;
-            let level_byte = r.u8()?;
-            let buffer = ClientBuffer::decode_checkpoint(&mut r)?;
-            let controller = match (degradation, level_byte) {
-                (Some(_), 0xFF) => {
-                    return Err(CheckpointError::Malformed("missing degradation level"))
-                }
-                (Some(cfg), b) => Some(DegradationController::restore(cfg, level_from_u8(b)?)),
-                (None, 0xFF) => None,
-                (None, _) => {
-                    return Err(CheckpointError::Malformed("orphan degradation level"))
-                }
-            };
-            let div = controller
-                .as_ref()
-                .map(|c| c.level().scale_divisor())
-                .unwrap_or(1)
-                .max(1);
-            let (ew, eh) = ((vw / div).max(1), (vh / div).max(1));
-            let mut video = VideoStreamManager::new();
-            video.set_scale(ew, width, eh, height);
-            let n_av = r.u32()?;
-            let mut pending_av = Vec::new();
-            for _ in 0..n_av {
-                pending_av.push(crate::buffer::decode_checkpoint_message(r.bytes()?)?);
-            }
-            clients.push((
-                id,
-                ClientState {
-                    user,
-                    buffer,
-                    scale: ScalePolicy::new(width, height, ew, eh).with_view(view),
-                    video,
-                    pending_av,
-                    liveness: liveness.map(|c| LivenessTracker::new(c, now)),
-                    session: (width, height),
-                    viewport: (vw, vh),
-                    degradation: controller,
-                    refresh_owed,
-                    resilience: thinc_telemetry::ResilienceMetrics::new(),
-                    quarantined: false,
-                    poison_flush: false,
-                },
-            ));
+            clients.push((id, user, ClientPipeline::decode_checkpoint(&mut r, pipeline, now)?));
         }
         if !r.exhausted() {
             return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
         }
         Ok(Self {
-            width,
-            height,
             format,
             auth: SessionAuth { owner, session_password },
             translator: Translator::new(),
             clients,
             next_client,
             now,
-            liveness,
-            degradation,
+            pipeline,
             buffer_bound,
             cache_budget,
             workers,
@@ -1222,62 +825,45 @@ impl SharedSession {
             // client, so nothing is touched.
             return ResumeOutcome::Cold { reason: "unknown session" };
         }
-        if self.state(id).is_none() {
-            return ResumeOutcome::Cold { reason: "unknown client" };
-        }
-        if self.state(id).is_some_and(|s| s.quarantined) {
-            // Quarantined state is unspecified (the panic may have
-            // struck mid-mutation); it must not be revived or mutated.
-            return ResumeOutcome::Cold { reason: "quarantined" };
-        }
-        let ledger_digest =
-            cache_digest(&self.state(id).map(|s| s.buffer.cache_keys()).unwrap_or_default());
-        if ledger_digest != store_digest {
-            return self.cold_fallback(id, screen, "cache digest mismatch");
-        }
         let delta = match &self.restored_tiles {
             Some(t) => t.delta(&TileDigests::of(screen)),
             None => Region::new(),
         };
-        let delta_area = delta.area();
-        let state = self.state_mut(id).expect("presence checked above");
-        state.resilience.record_resume();
-        if state.scale.is_identity() {
-            // Debt lives in viewport coordinates; at identity scale
-            // the session-space delta maps one-to-one, so only the
-            // changed tiles are requeued.
-            state.buffer.owe_refresh_region(&delta);
-            state.repay_debt(screen);
+        let Some(p) = self.client_mut(id) else {
+            return ResumeOutcome::Cold { reason: "unknown client" };
+        };
+        if quarantined(p) {
+            // Quarantined state is unspecified (the panic may have
+            // struck mid-mutation); it must not be revived or mutated.
+            return ResumeOutcome::Cold { reason: "quarantined" };
+        }
+        if cache_digest(&p.buffer.cache_keys()) != store_digest {
+            // The cold fallback: drop everything mid-flight, clear the
+            // cache ledger (the redialing client clears its store in
+            // the same breath, keeping the eviction mirror intact),
+            // and queue a full-view refresh.
+            p.resilience.record_cold_fallback();
+            p.retire_pending();
+            p.buffer.reset_cache();
+            p.av.clear();
+            p.refresh_owed = true;
+            p.repay_refresh(screen, false);
+            return ResumeOutcome::Cold { reason: "cache digest mismatch" };
+        }
+        p.resilience.record_resume();
+        if p.renderer().scale.is_identity() {
+            // At identity scale the session-space delta maps one to
+            // one, so only the changed tiles are requeued.
+            p.owe_region(&delta);
+            p.repay_debt(screen);
         } else if !delta.is_empty() {
             // A scaled client resamples whole views; re-rendering the
             // full view is both simpler and still far cheaper than a
             // cold restart (no cache reset, no pending-state drop).
-            state.refresh_owed = true;
-            state.repay_refresh(screen);
+            p.refresh_owed = true;
+            p.repay_refresh(screen, false);
         }
-        ResumeOutcome::Warm { delta_area }
-    }
-
-    /// The cold half of [`resume_client`](Self::resume_client): drop
-    /// everything mid-flight, clear the cache ledger (the redialing
-    /// client clears its store in the same breath, keeping the
-    /// eviction mirror intact), and queue a full-view refresh.
-    fn cold_fallback(
-        &mut self,
-        id: ClientId,
-        screen: &Framebuffer,
-        reason: &'static str,
-    ) -> ResumeOutcome {
-        if let Some(state) = self.state_mut(id) {
-            state.resilience.record_cold_fallback();
-            let _ = state.buffer.drop_pending_for_rescale();
-            let _ = state.buffer.take_overflow_debt();
-            state.buffer.reset_cache();
-            state.pending_av.clear();
-            state.refresh_owed = true;
-            state.repay_refresh(screen);
-        }
-        ResumeOutcome::Cold { reason }
+        ResumeOutcome::Warm { delta_area: delta.area() }
     }
 }
 
@@ -1293,202 +879,17 @@ fn compute_session_id(owner: &str, width: u32, height: u32, format: PixelFormat)
     h
 }
 
-/// Decodes a degradation-ladder level from its checkpoint byte.
-pub(crate) fn level_from_u8(b: u8) -> Result<DegradationLevel, CheckpointError> {
-    DegradationLevel::ALL
-        .get(b as usize)
-        .copied()
-        .ok_or(CheckpointError::Malformed("degradation level"))
-}
-
-/// The per-client flush body: A/V first (paced data), then the SRSF
-/// display queues. A free function so the parallel fan-out can borrow
-/// one client's state without holding the session.
-fn flush_client_state(
-    state: &mut ClientState,
-    now: SimTime,
-    pipe: &mut TcpPipe,
-    trace: &mut PacketTrace,
-    plane: Option<&WirePlane>,
-    counters: &mut PlaneCounters,
-) -> Vec<(SimTime, Message)> {
-    if state.poison_flush {
-        state.poison_flush = false;
-        panic!("injected poison: client flush panicked");
-    }
-    observe_client_degradation(state, now, pipe);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < state.pending_av.len() {
-        let size = thinc_protocol::wire::encoded_len(&state.pending_av[i]);
-        if pipe.would_block(now, size) {
-            break;
-        }
-        let msg = state.pending_av.remove(i);
-        let (_, arrival) = pipe.send(now, size);
-        trace.record(now, arrival, size, thinc_net::trace::Direction::Down, "video");
-        out.push((arrival, msg));
-        // `remove` shifted; keep index at 0 semantics.
-        i = 0;
-    }
-    out.extend(state.buffer.flush_shared(now, pipe, trace, plane, counters));
-    out
-}
-
-/// One scale-equivalence class of a broadcast round: the shared
-/// translation of the round's commands and (when any member owes one)
-/// the shared full-view refresh rendition.
+/// One render class of a broadcast round: the shared rendition of the
+/// round's commands and (when any member owes one) of the full-view
+/// refresh.
 struct BroadcastClass {
-    policy: ScalePolicy,
-    transformed: Vec<Option<DisplayCommand>>,
+    renderer: Renderer,
+    rendered: Vec<Option<DisplayCommand>>,
     refresh: Option<DisplayCommand>,
     refresh_wanted: bool,
 }
 
-/// Renders the full-view refresh a [`ScalePolicy`] class is owed —
-/// the class-shared twin of [`ClientState::repay_refresh`], with the
-/// identical output bytes.
-fn shared_refresh(policy: &ScalePolicy, screen: &Framebuffer) -> Option<DisplayCommand> {
-    let (clip, data) = screen.get_raw(&policy.view);
-    if clip.is_empty() {
-        return None;
-    }
-    let cmd = DisplayCommand::Raw {
-        rect: clip,
-        encoding: thinc_protocol::commands::RawEncoding::None,
-        data: data.into(),
-    };
-    if policy.is_identity() {
-        Some(cmd)
-    } else {
-        policy.transform(&cmd, screen)
-    }
-}
-
-/// Feeds one flush epoch of this client's link telemetry to its
-/// degradation controller and applies any resulting transition. Runs
-/// inside the parallel fan-out: every input is per-client (own
-/// buffer, own pipe, own controller), so worker count cannot change
-/// the outcome.
-fn observe_client_degradation(state: &mut ClientState, now: SimTime, pipe: &TcpPipe) {
-    let transition = {
-        let Some(ctrl) = state.degradation.as_mut() else {
-            return;
-        };
-        let fs = pipe.fault_stats();
-        let signals = EpochSignals {
-            pending_bytes: state.buffer.pending_bytes(),
-            byte_bound: state.buffer.byte_bound(),
-            overflow_evictions: state.buffer.stats().overflow_evicted,
-            outage_defers: fs.outage_defers,
-            collapsed_rounds: fs.collapsed_rounds,
-            stale_av_drops: 0,
-            corrupt_events: fs.corrupt_events,
-            segments_reordered: fs.segments_reordered,
-            segments_duplicated: fs.segments_duplicated,
-            link_impaired: pipe.fault_window_active(now),
-        };
-        ctrl.observe(&signals)
-    };
-    if let Some(t) = transition {
-        state
-            .resilience
-            .record_degradation_step(t.to.index() as u64, t.is_demotion());
-        state.rescale_for_degradation();
-    }
-}
-
-impl VideoDriver for SharedSession {
-    fn create_pixmap(&mut self, _store: &DrawableStore, id: DrawableId, w: u32, h: u32) {
-        self.translator.create_pixmap(id, w, h);
-    }
-
-    fn free_pixmap(&mut self, _store: &DrawableStore, id: DrawableId) {
-        self.translator.free_pixmap(id);
-    }
-
-    fn solid_fill(&mut self, store: &DrawableStore, target: DrawableId, rect: Rect, color: Color) {
-        let cmds = self.translator.solid_fill(store, target, rect, color);
-        self.broadcast(cmds, store.screen());
-    }
-
-    fn pattern_fill(
-        &mut self,
-        store: &DrawableStore,
-        target: DrawableId,
-        rect: Rect,
-        tile: &Framebuffer,
-    ) {
-        let cmds = self.translator.pattern_fill(store, target, rect, tile);
-        self.broadcast(cmds, store.screen());
-    }
-
-    fn stipple_fill(
-        &mut self,
-        store: &DrawableStore,
-        target: DrawableId,
-        rect: Rect,
-        bits: &[u8],
-        fg: Color,
-        bg: Option<Color>,
-    ) {
-        let cmds = self.translator.stipple_fill(store, target, rect, bits, fg, bg);
-        self.broadcast(cmds, store.screen());
-    }
-
-    fn copy_area(
-        &mut self,
-        store: &DrawableStore,
-        src: DrawableId,
-        dst: DrawableId,
-        src_rect: Rect,
-        dst_x: i32,
-        dst_y: i32,
-    ) {
-        let cmds = self
-            .translator
-            .copy_area(store, src, dst, src_rect, dst_x, dst_y);
-        self.broadcast(cmds, store.screen());
-    }
-
-    fn put_image(&mut self, store: &DrawableStore, target: DrawableId, rect: Rect, data: &[u8]) {
-        let cmds = self.translator.put_image(store, target, rect, data);
-        self.broadcast(cmds, store.screen());
-    }
-
-    fn composite(
-        &mut self,
-        store: &DrawableStore,
-        target: DrawableId,
-        rect: Rect,
-        _data: &[u8],
-        _op: thinc_raster::CompositeOp,
-    ) {
-        let cmds = self.translator.composite(store, target, rect);
-        self.broadcast(cmds, store.screen());
-    }
-
-    fn video_display(&mut self, _store: &DrawableStore, frame: &YuvFrame, dst: Rect) {
-        let ts = self.now.as_micros();
-        for (_, state) in self.clients.iter_mut() {
-            if state.quarantined {
-                continue;
-            }
-            // Video messages bypass the display buffer ordering and go
-            // through each client's own stream manager (which also
-            // resamples for small viewports).
-            let msgs = state.video.display_frame(frame, dst, ts);
-            for m in msgs {
-                // Wrap as display-path content so flushing stays
-                // single-channel per client: the buffer only carries
-                // DisplayCommand, so A/V keeps a side-channel. For
-                // the shared session we deliver video immediately at
-                // flush time via the pending list below.
-                state.pending_av.push(m);
-            }
-        }
-    }
-}
+crate::pipeline::translating_driver!(SharedSession, broadcast, show_video);
 
 #[cfg(test)]
 mod tests {

@@ -92,7 +92,7 @@ mod tests {
     fn run_bits_sized_for_rect() {
         let runs = layout("xyz", 0, 0);
         let r = &runs[0];
-        let row_bytes = ((r.rect.w as usize) + 7) / 8;
+        let row_bytes = (r.rect.w as usize).div_ceil(8);
         assert_eq!(r.bits.len(), row_bytes * r.rect.h as usize);
     }
 }

@@ -104,7 +104,7 @@ fn random_requests(
     rng: &mut StdRng,
     w: u32,
     h: u32,
-    pixmaps: &mut Vec<DrawableId>,
+    pixmaps: &mut [DrawableId],
     out: &mut Vec<DrawRequest>,
     n: usize,
 ) {
@@ -131,7 +131,7 @@ fn random_requests(
             }
             2 => {
                 let r = random_rect(rng, w, h);
-                let row_bytes = ((r.w as usize) + 7) / 8;
+                let row_bytes = (r.w as usize).div_ceil(8);
                 out.push(DrawRequest::StippleRect {
                     target,
                     rect: r,
