@@ -515,9 +515,8 @@ fn cache_suite() -> CacheStats {
         cached_kb_per_round: per_round(&cached),
         uncached_kb_per_round: per_round(&uncached),
         savings_ratio: per_round(&uncached) / per_round(&cached),
-        hits: cached.client().cache_hits(),
-        byte_exact: cached.client().client().framebuffer().data()
-            == uncached.client().client().framebuffer().data(),
+        hits: cached.client().resilience_metrics().cache_hits(),
+        byte_exact: cached.client().framebuffer().data() == uncached.client().framebuffer().data(),
         verified: cached.verified() && uncached.verified(),
     };
     eprintln!(

@@ -4,13 +4,14 @@
 //! implementation end to end: the window server rasterizes requests
 //! and mirrors them to the real [`ThincServer`] driver; the server
 //! translates, schedules and flushes over the simulated connection;
-//! and a real [`HeadlessClient`] executes every message — so the
-//! benchmark also continuously verifies that the client framebuffer
-//! matches the server screen.
+//! and a real [`ThincClient`] executes every message, headless as in
+//! the paper's §8.1 (nothing looks at its framebuffer but the check) —
+//! so the benchmark also continuously verifies that the client
+//! framebuffer matches the server screen.
 
 use thinc_baselines::framework::{raster_cost, server_time, CLIENT_HZ};
 use thinc_baselines::traits::{AvStats, RemoteDisplay};
-use thinc_client::HeadlessClient;
+use thinc_client::ThincClient;
 use thinc_core::server::{ServerConfig, ThincServer};
 use thinc_display::request::DrawRequest;
 use thinc_display::server::WindowServer;
@@ -35,7 +36,11 @@ pub struct ThincSystem {
     ws: WindowServer<ThincServer>,
     link: DuplexLink,
     trace: PacketTrace,
-    client: HeadlessClient,
+    client: ThincClient,
+    /// Virtual time the in-flight frame update was requested (by a
+    /// click); the next display message the client executes closes
+    /// the request-to-screen latency sample.
+    frame_requested: Option<SimTime>,
     last_arrival: Option<SimTime>,
     frames_sent: u32,
     frames_delivered: u32,
@@ -47,15 +52,7 @@ pub struct ThincSystem {
 impl ThincSystem {
     /// THINC over `net` at the given session geometry.
     pub fn new(net: &NetworkConfig, width: u32, height: u32) -> Self {
-        Self::with_config(
-            net,
-            ServerConfig {
-                width,
-                height,
-                ..ServerConfig::default()
-            },
-            (width, height),
-        )
+        Self::with_viewport(net, width, height, width, height)
     }
 
     /// THINC with a small client viewport (server-side scaling).
@@ -74,6 +71,9 @@ impl ThincSystem {
     /// THINC with a custom configuration (ablations).
     pub fn with_config(net: &NetworkConfig, config: ServerConfig, viewport: (u32, u32)) -> Self {
         let (w, h, fmt) = (config.width, config.height, config.format);
+        // The client store mirrors the server's ledger: same budget,
+        // and none when the cache is off.
+        let budget = config.cache_budget_bytes.unwrap_or(0);
         let mut server = ThincServer::new(config);
         server.handle_message(&Message::ClientHello {
             version: thinc_protocol::PROTOCOL_VERSION,
@@ -84,7 +84,8 @@ impl ThincSystem {
             ws: WindowServer::new(w, h, fmt, server),
             link: net.connect(),
             trace: PacketTrace::new(),
-            client: HeadlessClient::new(viewport.0, viewport.1, fmt),
+            client: ThincClient::new(viewport.0, viewport.1, fmt).with_cache_budget(budget),
+            frame_requested: None,
             last_arrival: None,
             frames_sent: 0,
             frames_delivered: 0,
@@ -128,7 +129,7 @@ impl ThincSystem {
     }
 
     /// The client (for verification).
-    pub fn client(&self) -> &HeadlessClient {
+    pub fn client(&self) -> &ThincClient {
         &self.client
     }
 
@@ -141,7 +142,7 @@ impl ThincSystem {
     /// byte for byte (only meaningful at full viewport with all
     /// pending updates drained).
     pub fn verified(&self) -> bool {
-        self.client.client().framebuffer().data() == self.ws.screen().data()
+        self.client.framebuffer().data() == self.ws.screen().data()
     }
 
     fn flush_once(&mut self, now: SimTime) {
@@ -153,8 +154,17 @@ impl ThincSystem {
             if let Message::Audio { ref data, .. } = msg {
                 self.audio_bytes += data.len() as u64;
             }
-            self.client.receive(arrival, &msg);
+            let done = self.client.apply(&msg);
+            if matches!(done.as_deref(), Some(Message::Display(_))) {
+                if let Some(t0) = self.frame_requested.take() {
+                    let us = arrival.0.saturating_sub(t0.0);
+                    self.client.metrics_mut().record_frame_latency_us(us);
+                }
+            }
             self.last_arrival = Some(self.last_arrival.map_or(arrival, |a| a.max(arrival)));
+        }
+        while let Some(miss) = self.client.take_cache_miss() {
+            self.ws.driver_mut().handle_message(&miss);
         }
         self.sample_net(now);
     }
@@ -202,7 +212,7 @@ impl RemoteDisplay for ThincSystem {
         let size = encode_message(&msg).len() as u64;
         let (_, arrival) = self.link.up.send(now, size);
         self.trace.record(now, arrival, size, Direction::Up, "input");
-        self.client.mark_frame_request(now);
+        self.frame_requested = Some(now);
         if let Some(ev) = self.ws.driver_mut().handle_message(&msg) {
             self.ws.handle_input(ev);
         }
@@ -273,7 +283,7 @@ impl RemoteDisplay for ThincSystem {
     }
 
     fn client_processing_secs(&self) -> Option<f64> {
-        Some(self.client.client().hardware().seconds_at(CLIENT_HZ))
+        Some(self.client.hardware().seconds_at(CLIENT_HZ))
     }
 
     fn supports_small_screen(&self) -> bool {
@@ -299,7 +309,7 @@ mod tests {
         );
         sys.drain(SimTime::ZERO);
         assert_eq!(
-            sys.client().client().framebuffer().get_pixel(16, 16),
+            sys.client().framebuffer().get_pixel(16, 16),
             Some(Color::rgb(10, 20, 30))
         );
         assert!(sys.verified());
@@ -341,6 +351,69 @@ mod tests {
         assert!(sys.verified(), "client framebuffer != server screen");
         // Offscreen awareness: no RAW fallback needed for this page.
         assert_eq!(sys.server_stats().translator.raw_fallback_bytes, 0);
+    }
+
+    /// A full-screen PutImage of incompressible noise.
+    fn noise_image(w: u32, h: u32, salt: u64) -> DrawRequest {
+        let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let data = (0..w as usize * h as usize * 3)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as u8
+            })
+            .collect();
+        DrawRequest::PutImage {
+            target: thinc_display::SCREEN,
+            rect: Rect::new(0, 0, w, h),
+            data,
+        }
+    }
+
+    #[test]
+    fn client_store_follows_the_configured_cache_budget() {
+        // Regression: the client store used to be built at the default
+        // 4 MiB whatever the server's budget. Under a 16 MiB budget the
+        // ledger then still held images the store had evicted, and
+        // every revisit sent references the client could not resolve.
+        let (w, h) = (256, 192);
+        let config = ServerConfig {
+            width: w,
+            height: h,
+            cache_budget_bytes: Some(16 * 1024 * 1024),
+            ..ServerConfig::default()
+        };
+        let mut sys = ThincSystem::with_config(&NetworkConfig::lan_desktop(), config, (w, h));
+        let mut now = SimTime::ZERO;
+        // 36 distinct images (about 5.3 MB) overflow 4 MiB, then the
+        // first ones come back.
+        for round in 0..40u64 {
+            sys.process(now, vec![noise_image(w, h, round % 36)]);
+            now = sys.drain(now) + SimDuration::from_millis(5);
+            assert!(sys.verified(), "round {round}");
+        }
+        let m = sys.client().resilience_metrics();
+        assert!(m.cache_hits() > 0, "the revisits are sent as references");
+        assert_eq!(m.cache_misses(), 0, "every reference resolves");
+    }
+
+    #[test]
+    fn click_to_screen_latency_is_sampled_once_per_click() {
+        let mut sys = ThincSystem::new(&NetworkConfig::lan_desktop(), 64, 64);
+        sys.click(SimTime(1_000), Point::new(4, 4));
+        for (t, x) in [(2_000, 0), (3_000, 32)] {
+            sys.process(
+                SimTime(t),
+                vec![DrawRequest::FillRect {
+                    target: thinc_display::SCREEN,
+                    rect: Rect::new(x, 0, 32, 32),
+                    color: Color::WHITE,
+                }],
+            );
+        }
+        sys.drain(SimTime(4_000));
+        let t = sys.session_telemetry();
+        assert_eq!(t.client.frame_latency_us().count(), 1);
+        assert_eq!(t.client.decoded(thinc_telemetry::CommandKind::Sfill), 2);
     }
 
     #[test]

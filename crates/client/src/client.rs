@@ -5,12 +5,22 @@
 //! the wire, so after any message sequence its framebuffer must be
 //! byte-identical to the server's screen (modulo in-flight updates) —
 //! the property the integration tests verify.
+//!
+//! Every received message takes one path, [`ThincClient::apply`],
+//! whether a harness delivers it whole or [`crate::StreamClient`]
+//! decodes it from the wire.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 
+use thinc_protocol::cache::{cache_key, cacheable_kind, CacheLru};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
+use thinc_protocol::telemetry::command_kind;
+use thinc_protocol::wire::with_encoded;
+use thinc_protocol::DEFAULT_CACHE_BUDGET;
 use thinc_raster::{Framebuffer, PixelFormat, Rect, YuvFormat, YuvFrame};
+use thinc_telemetry::{ClientMetrics, ResilienceMetrics};
 
 use crate::hardware::{ClientHardware, HardwareCaps};
 
@@ -26,14 +36,12 @@ fn sane_dims(w: u32, h: u32) -> bool {
 }
 
 /// A video overlay the client is currently showing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Overlay {
     format: YuvFormat,
     src_width: u32,
     src_height: u32,
     dst: Rect,
-    frames_shown: u32,
-    last_timestamp_us: u64,
 }
 
 /// Client execution statistics.
@@ -69,6 +77,18 @@ pub struct ThincClient {
     audio_timestamps: Vec<u64>,
     cursor: crate::cursor::CursorState,
     pending_pong: Option<Message>,
+    /// Content-addressed store (protocol revision 3): every cacheable
+    /// full payload received, so a later [`Message::CacheRef`]
+    /// resolves locally. Mirrors the server's per-client ledger (same
+    /// budget, same sizes, same order) and survives a reconnect, so a
+    /// resync can repay refresh debt out of the cache.
+    pub(crate) store: CacheLru<Message>,
+    /// Cache misses owed to the server, oldest first.
+    pending_cache_miss: VecDeque<Message>,
+    metrics: ClientMetrics,
+    /// Cache hits, misses and evictions; a [`crate::StreamClient`]
+    /// adds its wire-level counters here.
+    pub(crate) resilience: ResilienceMetrics,
 }
 
 impl ThincClient {
@@ -88,7 +108,20 @@ impl ThincClient {
             audio_timestamps: Vec::new(),
             cursor: crate::cursor::CursorState::new(),
             pending_pong: None,
+            store: CacheLru::new(DEFAULT_CACHE_BUDGET),
+            pending_cache_miss: VecDeque::new(),
+            metrics: ClientMetrics::new(),
+            resilience: ResilienceMetrics::new(),
         }
+    }
+
+    /// Sets the content store's byte budget. It must match the server
+    /// ledger's (the session's cache budget) for the eviction mirror
+    /// to hold, so call this before any traffic when the session runs
+    /// a non-default budget. Replaces the (still empty) store.
+    pub fn with_cache_budget(mut self, budget: u64) -> Self {
+        self.store = CacheLru::new(budget);
+        self
     }
 
     /// Takes the heartbeat reply owed to the server, if a
@@ -96,6 +129,25 @@ impl ThincClient {
     /// owns the uplink and sends it.
     pub fn take_pong(&mut self) -> Option<Message> {
         self.pending_pong.take()
+    }
+
+    /// The next [`Message::CacheMiss`] owed to the server, if any. An
+    /// unresolved cache reference queues one; the caller forwards it
+    /// upstream (like pongs) and the server answers with the full
+    /// payload.
+    pub fn take_cache_miss(&mut self) -> Option<Message> {
+        self.pending_cache_miss.pop_front()
+    }
+
+    /// Every key in the content store, sorted ascending. For coherence
+    /// checks against the server's ledger and the resume digest.
+    pub fn cache_keys(&self) -> Vec<u64> {
+        self.store.keys()
+    }
+
+    /// Entries currently held in the content store.
+    pub fn cache_len(&self) -> usize {
+        self.store.len()
     }
 
     /// The client's framebuffer.
@@ -108,14 +160,28 @@ impl ThincClient {
         self.stats
     }
 
+    /// Client-side telemetry: per-kind decode counts, decode errors
+    /// and request-to-screen frame latency.
+    pub fn metrics(&self) -> &ClientMetrics {
+        &self.metrics
+    }
+
+    /// The telemetry, mutably: a harness that knows when an update was
+    /// requested records its frame latency here.
+    pub fn metrics_mut(&mut self) -> &mut ClientMetrics {
+        &mut self.metrics
+    }
+
+    /// Resilience accounting: the content store's hits, misses, bytes
+    /// saved and evictions, plus the wire-level counters a
+    /// [`crate::StreamClient`] records.
+    pub fn resilience_metrics(&self) -> &ResilienceMetrics {
+        &self.resilience
+    }
+
     /// The hardware cost model (client processing time accounting).
     pub fn hardware(&self) -> &ClientHardware {
         &self.hw
-    }
-
-    /// The hardware cost model, mutably (reset between phases).
-    pub fn hardware_mut(&mut self) -> &mut ClientHardware {
-        &mut self.hw
     }
 
     /// Timestamps of received audio packets (A/V sync verification).
@@ -134,9 +200,64 @@ impl ThincClient {
         self.cursor.present(&self.fb)
     }
 
-    /// Applies one protocol message.
-    pub fn apply(&mut self, msg: &Message) {
+    /// Applies one protocol message and returns it as executed.
+    ///
+    /// A [`Message::CacheRef`] is resolved against the content store
+    /// first, and the resolved payload is executed and returned. An
+    /// unresolved reference executes nothing: it queues a
+    /// [`Message::CacheMiss`] and returns `None`. That is not damage:
+    /// the server answers with the full payload, which repaints the
+    /// same rect. Every cacheable full payload enters the store, even
+    /// when executing it was rejected, because the server's ledger
+    /// marked it held the moment it was sent.
+    pub fn apply<'m>(&mut self, msg: &'m Message) -> Option<Cow<'m, Message>> {
+        let done = match msg {
+            Message::CacheRef { hash } => Cow::Owned(self.resolve(*hash, msg.wire_size())?),
+            full => Cow::Borrowed(full),
+        };
+        self.execute_message(&done);
+        if let Cow::Borrowed(full) = done {
+            self.store_payload(full);
+        }
+        Some(done)
+    }
+
+    /// Looks `hash` up in the content store, counting the hit and the
+    /// bytes the `ref_size`-byte reference saved, or queueing the miss.
+    fn resolve(&mut self, hash: u64, ref_size: u64) -> Option<Message> {
+        let Some((size, resolved)) = self.store.get_sized(hash) else {
+            self.resilience.record_cache_miss();
+            self.pending_cache_miss.push_back(Message::CacheMiss { hash });
+            return None;
+        };
+        let resolved = resolved.clone();
+        self.resilience.record_cache_hit(size.saturating_sub(ref_size));
+        Some(resolved)
+    }
+
+    /// Stores a cacheable payload under the key and size taken from
+    /// one encode.
+    fn store_payload(&mut self, msg: &Message) {
+        if !cacheable_kind(msg) {
+            return;
+        }
+        let keyed = with_encoded(msg, |bytes| Some((cache_key(msg, bytes)?, bytes.len() as u64)));
+        if let Some((key, size)) = keyed {
+            let evicted = self.store.insert(key, size, msg.clone());
+            self.resilience.record_cache_evictions(evicted);
+        }
+    }
+
+    /// Counts a message rejected as malformed.
+    fn reject(&mut self) {
+        self.stats.errors += 1;
+        self.metrics.record_decode_error();
+    }
+
+    /// Executes one resolved message.
+    fn execute_message(&mut self, msg: &Message) {
         self.stats.messages += 1;
+        self.metrics.record_decoded(command_kind(msg));
         match msg {
             // Handshake traffic (including the client-originated
             // resume request) carries no drawing.
@@ -154,7 +275,7 @@ impl ThincClient {
                 // Stream geometry is wire-controlled and sizes local
                 // buffers; reject corrupt values up front.
                 if !sane_dims(*src_width, *src_height) || !sane_dims(dst.w, dst.h) {
-                    self.stats.errors += 1;
+                    self.reject();
                     return;
                 }
                 self.overlays.insert(
@@ -164,28 +285,18 @@ impl ThincClient {
                         src_width: *src_width,
                         src_height: *src_height,
                         dst: *dst,
-                        frames_shown: 0,
-                        last_timestamp_us: 0,
                     },
                 );
             }
-            Message::VideoData {
-                id,
-                timestamp_us,
-                data,
-                ..
-            } => {
-                let Some(ov) = self.overlays.get_mut(id) else {
-                    self.stats.errors += 1;
+            Message::VideoData { id, data, .. } => {
+                let Some(&ov) = self.overlays.get(id) else {
+                    self.reject();
                     return;
                 };
-                let expected = ov.format.frame_size(ov.src_width, ov.src_height);
-                if data.len() != expected {
-                    self.stats.errors += 1;
+                if data.len() != ov.format.frame_size(ov.src_width, ov.src_height) {
+                    self.reject();
                     return;
                 }
-                ov.frames_shown += 1;
-                ov.last_timestamp_us = *timestamp_us;
                 let (dst, sw, sh, fmt) = (ov.dst, ov.src_width, ov.src_height, ov.format);
                 // The overlay "hardware": colorspace-convert and scale
                 // to the destination rectangle.
@@ -200,13 +311,13 @@ impl ThincClient {
             }
             Message::VideoMove { id, dst } => {
                 if !sane_dims(dst.w, dst.h) {
-                    self.stats.errors += 1;
+                    self.reject();
                     return;
                 }
                 if let Some(ov) = self.overlays.get_mut(id) {
                     ov.dst = *dst;
                 } else {
-                    self.stats.errors += 1;
+                    self.reject();
                 }
             }
             Message::VideoEnd { id } => {
@@ -226,7 +337,7 @@ impl ThincClient {
                 pixels,
             } => {
                 if !self.cursor.set_shape(*width, *height, *hot_x, *hot_y, pixels) {
-                    self.stats.errors += 1;
+                    self.reject();
                 }
             }
             Message::CursorMove { x, y } => {
@@ -238,20 +349,16 @@ impl ThincClient {
                     timestamp_us: *timestamp_us,
                 });
             }
-            Message::CacheRef { .. } => {
-                // Cache references are resolved by the stream layer
-                // (`StreamClient`) against its content store before the
-                // resolved payload is applied here; an unresolved
-                // reference reaching the raw client is a no-op.
-            }
+            // Client-originated, so ignored if echoed. A reference
+            // never gets here: `apply` resolved it, and the store
+            // holds only display payloads.
             Message::Input(_)
             | Message::Resize { .. }
             | Message::SetView { .. }
             | Message::Pong { .. }
             | Message::RefreshRequest { .. }
-            | Message::CacheMiss { .. } => {
-                // Client-originated; ignore if echoed.
-            }
+            | Message::CacheMiss { .. }
+            | Message::CacheRef { .. } => {}
         }
     }
 
@@ -273,14 +380,14 @@ impl ThincClient {
                         match thinc_compress::pnglike::decompress(data, bpp, stride) {
                             Some(d) => d,
                             None => {
-                                self.stats.errors += 1;
+                                self.reject();
                                 return;
                             }
                         }
                     }
                 };
                 if pixels.len() < needed {
-                    self.stats.errors += 1;
+                    self.reject();
                     return;
                 }
                 self.fb.put_raw(rect, &pixels);
@@ -308,7 +415,7 @@ impl ThincClient {
                             * tile.height as usize
                             * self.fb.format().bytes_per_pixel()
                 {
-                    self.stats.errors += 1;
+                    self.reject();
                     return;
                 }
                 let mut t = Framebuffer::new(tile.width, tile.height, self.fb.format());
@@ -320,7 +427,7 @@ impl ThincClient {
             DisplayCommand::Bitmap { rect, bits, fg, bg } => {
                 let row_bytes = (rect.w as usize).div_ceil(8);
                 if bits.len() < row_bytes * rect.h as usize {
-                    self.stats.errors += 1;
+                    self.reject();
                     return;
                 }
                 self.fb.bitmap_rect(rect, bits, *fg, *bg);
@@ -382,6 +489,105 @@ mod tests {
             data: vec![0xFF, 0x22].into(),
         }));
         assert_eq!(c.stats().errors, 1);
+    }
+
+    #[test]
+    fn decode_error_metric_moves_with_stats_errors() {
+        let mut c = client();
+        c.apply(&Message::Display(DisplayCommand::Raw {
+            rect: Rect::new(0, 0, 16, 16),
+            encoding: RawEncoding::PngLike,
+            data: vec![0xFF, 0x22].into(),
+        }));
+        assert_eq!(c.stats().errors, 1);
+        assert_eq!(c.metrics().decode_errors(), 1);
+    }
+
+    #[test]
+    fn metrics_count_decoded_kinds() {
+        use thinc_telemetry::CommandKind;
+        let mut c = client();
+        for x in [0, 8] {
+            c.apply(&Message::Display(DisplayCommand::Sfill {
+                rect: Rect::new(x, 0, 8, 8),
+                color: Color::WHITE,
+            }));
+        }
+        c.apply(&Message::CursorMove { x: 1, y: 1 });
+        assert_eq!(c.metrics().decoded(CommandKind::Sfill), 2);
+        assert_eq!(c.metrics().decoded(CommandKind::Cursor), 1);
+        assert_eq!(c.metrics().total_decoded(), 3);
+    }
+
+    fn cacheable_raw(fill: u8) -> Message {
+        Message::Display(DisplayCommand::Raw {
+            rect: Rect::new(0, 0, 8, 8),
+            encoding: RawEncoding::None,
+            data: vec![fill; 8 * 8 * 3].into(),
+        })
+    }
+
+    #[test]
+    fn cache_reference_resolves_from_the_store() {
+        let mut c = client();
+        let raw = cacheable_raw(7);
+        let hash = raw.cache_key().expect("pixel payloads over the floor cache");
+        c.apply(&raw);
+        assert_eq!(c.cache_keys(), vec![hash]);
+        c.apply(&Message::Display(DisplayCommand::Sfill {
+            rect: Rect::new(0, 0, 64, 64),
+            color: Color::BLACK,
+        }));
+        let reference = Message::CacheRef { hash };
+        let done = c.apply(&reference).expect("the reference resolves");
+        assert_eq!(*done, raw, "the resolved payload is what executed");
+        assert_eq!(c.framebuffer().get_pixel(2, 2), Some(Color::rgb(7, 7, 7)));
+        assert_eq!(c.stats().raw, 2);
+        let m = c.resilience_metrics();
+        assert_eq!(m.cache_hits(), 1);
+        assert_eq!(m.cache_bytes_saved(), raw.wire_size() - reference.wire_size());
+        assert_eq!(c.cache_len(), 1, "a hit re-ranks, it does not re-insert");
+        assert!(c.take_cache_miss().is_none());
+    }
+
+    #[test]
+    fn unresolved_reference_queues_a_miss_and_applies_nothing() {
+        let mut c = client();
+        assert!(c.apply(&Message::CacheRef { hash: 0xDEAD }).is_none());
+        assert_eq!(c.stats().messages, 0);
+        assert_eq!(c.stats().errors, 0, "a miss is not damage");
+        assert_eq!(c.resilience_metrics().cache_misses(), 1);
+        assert_eq!(c.take_cache_miss(), Some(Message::CacheMiss { hash: 0xDEAD }));
+        assert!(c.take_cache_miss().is_none());
+    }
+
+    #[test]
+    fn rejected_payload_still_enters_the_store() {
+        // The server's ledger holds what it sent, applied or not.
+        let mut c = client();
+        let bad = Message::Display(DisplayCommand::Raw {
+            rect: Rect::new(0, 0, 16, 16),
+            encoding: RawEncoding::None,
+            data: vec![1; 100].into(),
+        });
+        c.apply(&bad);
+        assert_eq!(c.stats().errors, 1);
+        assert_eq!(c.cache_keys(), vec![bad.cache_key().unwrap()]);
+    }
+
+    #[test]
+    fn store_budget_bounds_and_evicts() {
+        let raw = cacheable_raw(1);
+        let size = raw.wire_size();
+        let mut c = client().with_cache_budget(size);
+        c.apply(&raw);
+        c.apply(&cacheable_raw(2));
+        assert_eq!(c.cache_keys(), vec![cacheable_raw(2).cache_key().unwrap()]);
+        assert_eq!(c.resilience_metrics().cache_evictions(), 1);
+        // No budget, no store.
+        let mut off = client().with_cache_budget(0);
+        off.apply(&raw);
+        assert_eq!(off.cache_len(), 0);
     }
 
     #[test]

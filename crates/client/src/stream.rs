@@ -9,17 +9,13 @@
 //! Every error, resync, and skipped byte is counted in the client's
 //! resilience accounting.
 
-use std::collections::VecDeque;
-
 use thinc_net::time::{SimDuration, SimTime};
-use thinc_protocol::cache::CacheLru;
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::Message;
 use thinc_protocol::wire::{FrameReader, IntegrityCounters};
 use thinc_raster::{PixelFormat, Rect, Region};
 
 use crate::client::ThincClient;
-use crate::hardware::HardwareCaps;
 use crate::reconnect::ReconnectPolicy;
 
 /// How long bytes may sit in the reader with zero decode progress
@@ -47,65 +43,37 @@ pub struct StreamClient {
     refresh_cover: Region,
     /// Automatic refresh-request issuance, when installed.
     policy: Option<ReconnectPolicy>,
-    /// Messages applied over the client's lifetime — progress marker
-    /// for the policy's stalled-framing detection.
-    applied_total: u64,
-    /// `applied_total` when the policy last fired an attempt.
+    /// `applied_total()` when the policy last fired an attempt.
     applied_at_attempt: u64,
     /// When the current no-progress-with-pending-bytes episode began
     /// (`None` while the reader is empty or decoding normally).
     stall_since: Option<SimTime>,
-    /// `applied_total` at the start of that episode.
+    /// `applied_total()` at the start of that episode.
     stall_applied_mark: u64,
     /// Reader integrity counters already folded into `resilience`
     /// (the reader keeps cumulative tallies; we move the deltas).
     integrity_base: IntegrityCounters,
-    /// Content-addressed store (protocol revision 3): every cacheable
-    /// full payload received is kept here so a later
-    /// [`Message::CacheRef`] can be resolved locally. Mirrors the
-    /// server's ledger (same budget, same sizes, same order), and
-    /// deliberately survives [`reconnect`](Self::reconnect) so a
-    /// resync can repay refresh debt out of the cache.
-    cache: CacheLru<Message>,
-    /// Cache misses owed to the server (drained by
-    /// [`take_cache_miss`](Self::take_cache_miss)).
-    pending_cache_miss: VecDeque<Message>,
     /// A warm resume is in flight: a [`resume`](Self::resume) redial
     /// presented a token and the next server message decides the
     /// outcome (a fresh `ServerHello` means the token was rejected —
     /// cold restart; anything else confirms the warm path).
     resume_pending: bool,
-    resilience: thinc_telemetry::ResilienceMetrics,
 }
 
 impl StreamClient {
     /// A stream client with the given display geometry.
     pub fn new(width: u32, height: u32, format: PixelFormat) -> Self {
-        Self::wrap(ThincClient::new(width, height, format))
-    }
-
-    /// A stream client with explicit hardware capabilities.
-    pub fn with_hardware(width: u32, height: u32, format: PixelFormat, caps: HardwareCaps) -> Self {
-        Self::wrap(ThincClient::with_hardware(width, height, format, caps))
-    }
-
-    /// Wraps an existing client.
-    pub fn wrap(client: ThincClient) -> Self {
         Self {
-            client,
+            client: ThincClient::new(width, height, format),
             reader: FrameReader::new(),
             needs_refresh: false,
             refresh_cover: Region::new(),
             policy: None,
-            applied_total: 0,
             applied_at_attempt: 0,
             stall_since: None,
             stall_applied_mark: 0,
             integrity_base: IntegrityCounters::default(),
-            cache: CacheLru::new(thinc_protocol::DEFAULT_CACHE_BUDGET),
-            pending_cache_miss: VecDeque::new(),
             resume_pending: false,
-            resilience: thinc_telemetry::ResilienceMetrics::new(),
         }
     }
 
@@ -122,20 +90,18 @@ impl StreamClient {
         self.policy.as_ref()
     }
 
-    /// Sets the content-addressed store's byte budget. The budget
-    /// must match the server ledger's (the session's cache budget)
-    /// for the eviction mirror to hold — call this before any traffic
-    /// when the session runs a non-default budget. Replaces the store
-    /// (which is empty before the first payload arrives anyway).
-    pub fn with_cache_budget(mut self, budget: u64) -> Self {
-        self.cache = CacheLru::new(budget);
-        self
+    /// Sets the content store's byte budget; see
+    /// [`ThincClient::with_cache_budget`].
+    pub fn with_cache_budget(self, budget: u64) -> Self {
+        Self {
+            client: self.client.with_cache_budget(budget),
+            ..self
+        }
     }
 
-    /// Every key in the content-addressed store, sorted ascending.
-    /// For coherence checks against the server's ledger.
+    /// Every key in the content store, sorted ascending.
     pub fn cache_keys(&self) -> Vec<u64> {
-        self.cache.keys()
+        self.client.cache_keys()
     }
 
     /// Feeds bytes from the connection and applies every complete
@@ -170,12 +136,12 @@ impl StreamClient {
                         // the delta stream of a confirmed warm resume.
                         self.resume_pending = false;
                         if matches!(msg, Message::ServerHello { .. }) {
-                            self.cache.clear();
+                            self.client.store.clear();
                             self.needs_refresh = true;
                             self.refresh_cover = Region::new();
-                            self.resilience.record_cold_fallback();
+                            self.client.resilience.record_cold_fallback();
                         } else {
-                            self.resilience.record_resume();
+                            self.client.resilience.record_resume();
                         }
                     }
                     if self.reader.take_seq_break() {
@@ -183,59 +149,25 @@ impl StreamClient {
                         // and this one: the framing recovered but the
                         // display is missing updates — escalate to a
                         // refresh, voiding any partial coverage.
-                        self.resilience.record_resync_triggered();
+                        self.client.resilience.record_resync_triggered();
                         self.needs_refresh = true;
                         self.refresh_cover = Region::new();
                     }
-                    // Resolve cache references against the content
-                    // store before the message reaches the display.
-                    let (msg, from_cache) = match msg {
-                        Message::CacheRef { hash } => {
-                            let ref_size = Message::CacheRef { hash }.wire_size();
-                            match self.cache.get(hash) {
-                                Some(resolved) => {
-                                    let resolved = resolved.clone();
-                                    self.resilience.record_cache_hit(
-                                        resolved.wire_size().saturating_sub(ref_size),
-                                    );
-                                    (resolved, true)
-                                }
-                                None => {
-                                    // Not damage: the server answers
-                                    // the miss with the full payload,
-                                    // which repaints the same rect.
-                                    self.resilience.record_cache_miss();
-                                    self.pending_cache_miss
-                                        .push_back(Message::CacheMiss { hash });
-                                    continue;
-                                }
-                            }
-                        }
-                        other => (other, false),
-                    };
                     let errors_before = self.client.stats().errors;
-                    self.client.apply(&msg);
+                    // An unresolved cache reference applies nothing.
+                    let Some(done) = self.client.apply(&msg) else {
+                        continue;
+                    };
                     applied += 1;
-                    self.applied_total += 1;
                     if self.needs_refresh && self.client.stats().errors == errors_before {
-                        self.note_refresh_progress(&msg);
-                    }
-                    // Every cacheable full payload enters the store —
-                    // the server's ledger marked it held the moment it
-                    // was sent, so both sides must see the same insert
-                    // sequence (even when the apply was rejected).
-                    if !from_cache {
-                        if let Some(key) = msg.cache_key() {
-                            let evicted = self.cache.insert(key, msg.wire_size(), msg);
-                            self.resilience.record_cache_evictions(evicted);
-                        }
+                        self.note_refresh_progress(&done);
                     }
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    self.resilience.record_decode_error();
+                    self.client.resilience.record_decode_error();
                     let skipped = self.reader.resync();
-                    self.resilience.record_stream_resync(skipped as u64);
+                    self.client.resilience.record_stream_resync(skipped as u64);
                     // New damage invalidates any partial refresh.
                     self.needs_refresh = true;
                     self.refresh_cover = Region::new();
@@ -246,6 +178,12 @@ impl StreamClient {
         applied
     }
 
+    /// Messages applied over the client's lifetime: the progress
+    /// marker for stalled-framing detection.
+    fn applied_total(&self) -> u64 {
+        self.client.stats().messages
+    }
+
     /// Folds the reader's cumulative integrity tallies (CRC failures,
     /// sequence gaps, duplicates) into the resilience accounting as
     /// deltas since the last fold.
@@ -253,7 +191,7 @@ impl StreamClient {
         let c = self.reader.integrity();
         let b = self.integrity_base;
         if c != b {
-            self.resilience.add_integrity_counts(
+            self.client.resilience.add_integrity_counts(
                 c.crc_fail - b.crc_fail,
                 c.seq_gap - b.seq_gap,
                 c.seq_dup - b.seq_dup,
@@ -321,13 +259,13 @@ impl StreamClient {
         // retry therefore drops the wire state like a real redial
         // would, so the server's next resync lands on clean framing.
         if attempt > 1
-            && self.applied_total == self.applied_at_attempt
+            && self.applied_total() == self.applied_at_attempt
             && self.reader.pending_bytes() > 0
         {
             self.reset_reader();
-            self.resilience.record_reconnect();
+            self.client.resilience.record_reconnect();
         }
-        self.applied_at_attempt = self.applied_total;
+        self.applied_at_attempt = self.applied_total();
         Some(Message::RefreshRequest { attempt })
     }
 
@@ -349,10 +287,10 @@ impl StreamClient {
             return;
         }
         match self.stall_since {
-            Some(since) if self.applied_total == self.stall_applied_mark => {
+            Some(since) if self.applied_total() == self.stall_applied_mark => {
                 if now.since(since) >= FRAME_STALL_TIMEOUT {
                     self.reset_reader();
-                    self.resilience.record_reconnect();
+                    self.client.resilience.record_reconnect();
                     self.needs_refresh = true;
                     self.refresh_cover = Region::new();
                     self.stall_since = None;
@@ -363,7 +301,7 @@ impl StreamClient {
             // frame still streaming): restart the clock.
             _ => {
                 self.stall_since = Some(now);
-                self.stall_applied_mark = self.applied_total;
+                self.stall_applied_mark = self.applied_total();
             }
         }
     }
@@ -394,7 +332,7 @@ impl StreamClient {
             session_id,
             client_id,
             last_seq: self.reader.last_seq().unwrap_or(0),
-            store_digest: thinc_protocol::store_digest(&self.cache.keys()),
+            store_digest: thinc_protocol::store_digest(&self.client.cache_keys()),
         }
     }
 
@@ -414,7 +352,7 @@ impl StreamClient {
     pub fn resume(&mut self) -> bool {
         if self.reader.pending_bytes() > 0 {
             self.reconnect();
-            self.resilience.record_cold_fallback();
+            self.client.resilience.record_cold_fallback();
             return false;
         }
         self.reset_reader();
@@ -432,15 +370,13 @@ impl StreamClient {
     /// reader drops any half-received frame. The display keeps its
     /// content, but a fresh link is presumed stale — updates were
     /// lost while it was down — so `needs_refresh` latches until the
-    /// server's resync has actually covered the viewport. (It used to
-    /// be cleared here, which lost the pending-refresh state when a
-    /// drop raced the resync.)
+    /// server's resync has actually covered the viewport.
     pub fn reconnect(&mut self) {
         self.reset_reader();
         self.resume_pending = false;
         self.needs_refresh = true;
         self.refresh_cover = Region::new();
-        self.resilience.record_reconnect();
+        self.client.resilience.record_reconnect();
     }
 
     /// The wire framing revision the reader currently expects
@@ -455,17 +391,14 @@ impl StreamClient {
         self.client.take_pong()
     }
 
-    /// The next [`Message::CacheMiss`] owed to the server, if any. An
-    /// unresolved cache reference queues one here; the caller forwards
-    /// it upstream (like pongs) and the server answers with the full
-    /// payload.
+    /// The next [`Message::CacheMiss`] owed to the server, if any.
     pub fn take_cache_miss(&mut self) -> Option<Message> {
-        self.pending_cache_miss.pop_front()
+        self.client.take_cache_miss()
     }
 
-    /// Entries currently held in the content-addressed store.
+    /// Entries currently held in the content store.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.client.cache_len()
     }
 
     /// Bytes buffered waiting for a complete frame.
@@ -474,9 +407,9 @@ impl StreamClient {
     }
 
     /// Client-side resilience accounting (decode errors, resyncs,
-    /// skipped bytes, reconnects).
+    /// skipped bytes, reconnects, cache hits and misses).
     pub fn resilience_metrics(&self) -> &thinc_telemetry::ResilienceMetrics {
-        &self.resilience
+        self.client.resilience_metrics()
     }
 
     /// The wrapped display client.

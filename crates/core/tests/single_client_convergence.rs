@@ -6,6 +6,12 @@
 //! back up. After the drain and debt repayment, the client
 //! framebuffer must equal the screen byte for byte.
 //!
+//! Every flushed message reaches two clients: a `ThincClient` that
+//! applies it directly and a `StreamClient` fed its encoded frame.
+//! The cache-on run negotiates the current protocol version first and
+//! draws its script twice, so refs, misses and the mirrored store are
+//! in play; both clients must end byte-exact with equal store keys.
+//!
 //! Small byte bounds make overflow evictions, and with them COPYs
 //! over unpaid refresh debt, common. The ladder runs its default
 //! hysteresis: with a hair-trigger ladder (one epoch to demote, one
@@ -24,6 +30,7 @@ use thinc_net::link::NetworkConfig;
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::message::Message;
+use thinc_protocol::PROTOCOL_VERSION;
 use thinc_raster::{Color, PixelFormat, Rect};
 
 const W: u32 = 96;
@@ -78,15 +85,27 @@ fn viewport_change() -> impl Strategy<Value = Message> {
     ]
 }
 
-/// Runs one script and returns the number of bytes in which the
-/// client framebuffer differs from the screen.
-fn diverged_bytes(
+/// How one run ended.
+struct Outcome {
+    /// Bytes in which the directly applied client differs from the
+    /// screen.
+    applied_diff: usize,
+    /// The same for the wire-fed client.
+    fed_diff: usize,
+    /// Whether both clients' content stores hold the same keys.
+    same_store: bool,
+}
+
+/// Runs one script; `cached` negotiates the current protocol version
+/// (and with it the content cache) before the first draw.
+fn run(
     ops: Vec<DrawRequest>,
     change: Message,
     (change_at, undo_at): (usize, usize),
     bound: u64,
     (fault_seed, collapse_ms): (u64, u64),
-) -> usize {
+    cached: bool,
+) -> Outcome {
     let thinc = ThincServer::new(ServerConfig {
         width: W,
         height: H,
@@ -104,12 +123,39 @@ fn diverged_bytes(
     let mut link = NetworkConfig::lan_desktop().with_faults(plan).connect();
     let mut trace = PacketTrace::new();
     let mut client = thinc_client::ThincClient::new(W, H, PixelFormat::Rgb888);
+    let mut fed = thinc_client::StreamClient::new(W, H, PixelFormat::Rgb888);
+    if cached {
+        let hello = ws.driver().hello();
+        fed.feed(&ws.driver_mut().encode_frame(&hello));
+        ws.driver_mut().handle_message(&Message::ClientHello {
+            version: PROTOCOL_VERSION,
+            viewport_width: W,
+            viewport_height: H,
+        });
+    }
+    // Delivers one flush to both clients and forwards the cache
+    // misses they owe (the same ones) to the server.
+    let mut deliver = |ws: &mut WindowServer<ThincServer>, batch: Vec<(SimTime, Message)>| {
+        for (_, m) in batch {
+            client.apply(&m);
+            fed.feed(&ws.driver_mut().encode_frame(&m));
+        }
+        while let Some(miss) = client.take_cache_miss() {
+            assert_eq!(fed.take_cache_miss().as_ref(), Some(&miss));
+            ws.driver_mut().handle_message(&miss);
+        }
+        assert_eq!(fed.take_cache_miss(), None);
+    };
     let mut now = SimTime::ZERO;
     let undo = match change {
         Message::Resize { .. } => Message::Resize { viewport_width: W, viewport_height: H },
         _ => Message::SetView { view: Rect::new(0, 0, W, H) },
     };
-    for (i, op) in ops.into_iter().enumerate() {
+    // The cache-on run draws the script twice, so the second pass
+    // repaints content the client already holds.
+    let passes = if cached { 2 } else { 1 };
+    let len = ops.len();
+    for (i, op) in ops.into_iter().cycle().take(len * passes).enumerate() {
         if i == change_at {
             ws.driver_mut().handle_message(&change);
         }
@@ -122,17 +168,15 @@ fn diverged_bytes(
         }
         ws.driver_mut().set_time(now);
         ws.process(op);
-        for (_, m) in ws.driver_mut().flush(now, &mut link.down, &mut trace) {
-            client.apply(&m);
-        }
+        let batch = ws.driver_mut().flush(now, &mut link.down, &mut trace);
+        deliver(&mut ws, batch);
         now += SimDuration::from_millis(20);
     }
     // Drain: past the collapse window every clear epoch climbs a
     // rung; each transition owes a refresh, repaid with the debt.
     for _ in 0..400 {
-        for (_, m) in ws.driver_mut().flush(now, &mut link.down, &mut trace) {
-            client.apply(&m);
-        }
+        let batch = ws.driver_mut().flush(now, &mut link.down, &mut trace);
+        deliver(&mut ws, batch);
         let screen = ws.screen().clone();
         ws.driver_mut().repay_overflow_debt(&screen);
         let s = ws.driver();
@@ -145,8 +189,13 @@ fn diverged_bytes(
         now = link.down.tx_free_at().max(now + SimDuration::from_millis(20));
     }
     assert_eq!(ws.driver().display_backlog(), 0, "the drain must finish");
-    let (got, want) = (client.framebuffer().data(), ws.screen().data());
-    got.iter().zip(want).filter(|(a, b)| a != b).count()
+    let want = ws.screen().data();
+    let diff = |got: &[u8]| got.iter().zip(want).filter(|(a, b)| a != b).count();
+    Outcome {
+        applied_diff: diff(client.framebuffer().data()),
+        fed_diff: diff(fed.client().framebuffer().data()),
+        same_store: client.cache_keys() == fed.cache_keys(),
+    }
 }
 
 proptest! {
@@ -163,7 +212,25 @@ proptest! {
         fault in (any::<u64>(), 40..400u64),
     ) {
         let undo_at = at.1.min(ops.len() - 1);
-        let diff = diverged_bytes(ops, change, (at.0, undo_at), bound, fault);
-        prop_assert_eq!(diff, 0, "client differs from the screen in {} bytes", diff);
+        let out = run(ops, change, (at.0, undo_at), bound, fault, false);
+        prop_assert_eq!(out.applied_diff, 0, "client differs from the screen in {} bytes", out.applied_diff);
+        prop_assert_eq!(out.fed_diff, 0, "wire-fed client differs in {} bytes", out.fed_diff);
+    }
+
+    /// The same with the content cache on: both clients resolve the
+    /// same references against equal stores.
+    #[test]
+    fn single_client_converges_byte_exact_with_cache(
+        ops in prop::collection::vec(draw(), 8..40),
+        change in viewport_change(),
+        at in (0..8usize, 8..40usize),
+        bound in 2_048..16_384u64,
+        fault in (any::<u64>(), 40..400u64),
+    ) {
+        let undo_at = at.1.min(ops.len() - 1);
+        let out = run(ops, change, (at.0, undo_at), bound, fault, true);
+        prop_assert_eq!(out.applied_diff, 0, "client differs from the screen in {} bytes", out.applied_diff);
+        prop_assert_eq!(out.fed_diff, 0, "wire-fed client differs in {} bytes", out.fed_diff);
+        prop_assert!(out.same_store, "the two clients' stores diverged");
     }
 }

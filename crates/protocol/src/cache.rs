@@ -52,20 +52,24 @@ pub const CACHE_MIN_PAYLOAD: usize = 64;
 /// bytes, after any RAW compression, so the server's flush-time view
 /// and the client's receive-time view agree byte-for-byte.
 pub fn cache_key(msg: &Message, encoded: &[u8]) -> Option<u64> {
-    use crate::commands::DisplayCommand;
-    let candidate = matches!(
-        msg,
-        Message::Display(
-            DisplayCommand::Raw { .. }
-                | DisplayCommand::Pfill { .. }
-                | DisplayCommand::Bitmap { .. }
-        )
-    );
-    if candidate && encoded.len() >= CACHE_MIN_PAYLOAD {
+    if cacheable_kind(msg) && encoded.len() >= CACHE_MIN_PAYLOAD {
         Some(crate::hash::fnv64(encoded))
     } else {
         None
     }
+}
+
+/// Whether `msg` is of a cacheable kind (`RAW`, `PFILL`, `BITMAP`),
+/// before the [`CACHE_MIN_PAYLOAD`] floor: a receiver checks this
+/// first and encodes only candidates to key them.
+pub fn cacheable_kind(msg: &Message) -> bool {
+    use crate::commands::DisplayCommand;
+    matches!(
+        msg,
+        Message::Display(
+            DisplayCommand::Raw { .. } | DisplayCommand::Pfill { .. } | DisplayCommand::Bitmap { .. }
+        )
+    )
 }
 
 /// FNV-1a digest over a sorted key set, used by the session-resume
@@ -147,10 +151,15 @@ impl<V> CacheLru<V> {
 
     /// Looks up `key`, bumping it to most-recently-used on a hit.
     pub fn get(&mut self, key: u64) -> Option<&V> {
+        self.get_sized(key).map(|(_, v)| v)
+    }
+
+    /// [`get`](Self::get), also returning the size recorded at insert.
+    pub fn get_sized(&mut self, key: u64) -> Option<(u64, &V)> {
         if self.entries.contains_key(&key) {
             self.bump(key);
         }
-        self.entries.get(&key).map(|(_, v)| v)
+        self.entries.get(&key).map(|(size, v)| (*size, v))
     }
 
     /// Looks up `key` without touching LRU order.

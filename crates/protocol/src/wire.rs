@@ -575,14 +575,22 @@ pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
 /// The revision-1 encoded length of a message, computed through a
 /// thread-local scratch buffer so sizing loops do not allocate.
 pub fn encoded_len(msg: &Message) -> u64 {
+    with_encoded(msg, |bytes| bytes.len() as u64)
+}
+
+/// Runs `f` on the revision-1 encoding of `msg`, built in a
+/// thread-local scratch buffer so loops that size or key messages do
+/// not allocate. `f` must not encode through this scratch itself
+/// (no nested `with_encoded` or [`encoded_len`]).
+pub fn with_encoded<R>(msg: &Message, f: impl FnOnce(&[u8]) -> R) -> R {
     use std::cell::RefCell;
     thread_local! {
-        static SIZER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     }
-    SIZER.with(|buf| {
+    SCRATCH.with(|buf| {
         let mut buf = buf.borrow_mut();
         encode_message_into(msg, &mut buf);
-        buf.len() as u64
+        f(&buf)
     })
 }
 

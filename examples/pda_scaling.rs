@@ -55,7 +55,7 @@ fn main() -> std::io::Result<()> {
         full_down as f64 / pda_down.max(1) as f64, full_down, pda_down);
 
     write_ppm("target/pda_server_screen.ppm", pda.server_screen())?;
-    write_ppm("target/pda_client_view.ppm", pda.client().client().framebuffer())?;
+    write_ppm("target/pda_client_view.ppm", pda.client().framebuffer())?;
     println!("\nwrote target/pda_server_screen.ppm ({W}x{H}) and");
     println!("      target/pda_client_view.ppm  ({PDA_W}x{PDA_H}, Fant anti-aliased)");
     Ok(())

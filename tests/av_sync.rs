@@ -37,7 +37,7 @@ fn timestamps_are_monotonic_and_span_the_clip() {
 
     // Audio timestamps at the client are strictly increasing and
     // anchored at the device-open time.
-    let ts = sys.client().client().audio_timestamps();
+    let ts = sys.client().audio_timestamps();
     assert!(ts.len() >= 10, "{} audio packets", ts.len());
     for w in ts.windows(2) {
         assert!(w[1] > w[0], "audio timestamps not monotonic: {w:?}");
@@ -62,7 +62,7 @@ fn audio_clock_matches_pcm_rate() {
     // Feed exactly 0.5 s of PCM in one write.
     sys.audio(start, &track.pcm(0, 500));
     sys.drain(SimTime(600_000));
-    let ts = sys.client().client().audio_timestamps();
+    let ts = sys.client().audio_timestamps();
     assert!(!ts.is_empty());
     // Packets are DEFAULT_PACKET_BYTES (4096) apart: 4096 bytes at
     // 176400 B/s = 23219 us.
